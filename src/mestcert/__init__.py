@@ -20,8 +20,8 @@ from .cox import (CoxCertificate, MuProfile, SurvivalDataset, certify_cox,
 from .errors import (ConvergenceError, DegenerateRiskSetError,
                      InfeasiblePointError, InvalidInputError, MestcertError,
                      RankDeficientError, SingularMatrixError)
-from .glm import (Dataset, GlmCertificate, LinearExpansion, certify, delta,
-                  expansion, fit, hessian, hessian_holder_constant, score)
+from .glm import (Dataset, GlmCertificate, certify, delta, fit, hessian,
+                  hessian_holder_constant, score)
 from .losses import (LossFamily, combine_families, loss_derivative_check,
                      make_family)
 from .nls import (LinkSpec, NlsCertificate, NlsConstants, certify_nls,
@@ -45,7 +45,6 @@ __all__ = [
     "InfeasiblePointError",
     "InvalidInputError",
     "KktPoint",
-    "LinearExpansion",
     "LinkSpec",
     "LooEntry",
     "LooReport",
@@ -72,7 +71,6 @@ __all__ = [
     "cox_objective",
     "cox_score",
     "delta",
-    "expansion",
     "fd_jacobian",
     "fit",
     "fit_cox",

@@ -28,6 +28,7 @@ reported as ``{"error": ...}``.
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 
@@ -182,7 +183,8 @@ def read_models(path, p):
 
 def dump_json(obj):
     """Serialize with floats at 17 significant digits (exact round-trip);
-    non-finite floats become null."""
+    non-finite floats become null. Dataclasses (the certificates) become
+    objects keyed by their field names, in declaration order."""
     pieces = []
     _write_json(obj, pieces)
     return "".join(pieces) + "\n"
@@ -218,12 +220,15 @@ def _write_json(obj, out):
                 out.append(",")
             _write_json(val, out)
         out.append("]")
+    elif dataclasses.is_dataclass(obj):
+        _write_json(_fields(obj), out)
     else:
         raise MestcertError(f"cannot serialize {type(obj).__name__}")
 
 
-def _vec(v):
-    return [float(x) for x in np.asarray(v)]
+def _fields(obj):
+    """A dataclass's fields by name, in declaration order (no copies)."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 # ------------------------------------------------------------------ #
@@ -258,21 +263,6 @@ def _require_dataset(data, command):
     return data
 
 
-def _glm_cert_json(cert):
-    return {
-        "target": _vec(cert.target),
-        "delta": cert.delta,
-        "condition_max_c": cert.condition_max_c,
-        "condition_ok": cert.condition_ok,
-        "bracket_lo": cert.bracket_lo,
-        "bracket_hi": cert.bracket_hi,
-        "newton_step": _vec(cert.newton_step),
-        "expansion_bound_empirical": cert.expansion_bound_empirical,
-        "expansion_bound_reference": cert.expansion_bound_reference,
-        "reference_mismatch": cert.reference_mismatch,
-    }
-
-
 def _cmd_fit(args):
     family = _build_family(args)
     data = _require_dataset(read_csv(args.data), "fit")
@@ -280,7 +270,7 @@ def _cmd_fit(args):
     return {
         "command": "fit",
         "family": args.family,
-        "estimate": _vec(est),
+        "estimate": est,
         "score_norm": float(np.linalg.norm(glm.score(data, family, est))),
     }
 
@@ -293,9 +283,7 @@ def _cmd_certify(args):
     if args.q_ref:
         q_ref = read_matrix(args.q_ref)
     cert = glm.certify(data, family, target, q_ref=q_ref)
-    out = {"command": "certify", "family": args.family}
-    out.update(_glm_cert_json(cert))
-    return out
+    return {"command": "certify", "family": args.family, **_fields(cert)}
 
 
 def _cmd_loo(args):
@@ -311,20 +299,20 @@ def _cmd_loo(args):
     for e in report.entries:
         fold = {
             "indices": [i + 1 for i in e.indices],
-            "approx_estimate": _vec(e.approx_estimate),
+            "approx_estimate": e.approx_estimate,
             "delta_i": e.delta_i,
             "certified": e.certified,
             "deviation_bound": e.deviation_bound,
         }
         if e.exact_estimate is not None:
-            fold["exact_estimate"] = _vec(e.exact_estimate)
+            fold["exact_estimate"] = e.exact_estimate
             fold["observed_deviation"] = float(np.linalg.norm(
                 e.exact_estimate - e.approx_estimate))
         folds.append(fold)
     return {
         "command": "loo",
         "family": args.family,
-        "theta_hat": _vec(report.theta_hat),
+        "theta_hat": report.theta_hat,
         "per_fold": folds,
     }
 
@@ -373,10 +361,10 @@ def _cmd_posi(args):
     report = resample.posi_sweep(data, family, models, exact=args.exact)
     entries = []
     for m in report.models:
-        entry = {"indices": [i + 1 for i in m.indices]}
-        entry.update(_glm_cert_json(m.certificate))
+        entry = {"indices": [i + 1 for i in m.indices],
+                 **_fields(m.certificate)}
         if m.exact_estimate is not None:
-            entry["exact_estimate"] = _vec(m.exact_estimate)
+            entry["exact_estimate"] = m.exact_estimate
         entries.append(entry)
     return {
         "command": "posi",
@@ -397,17 +385,7 @@ def _cmd_cox_certify(args):
     else:
         target = read_vector(args.target)
     cert = coxmod.certify_cox(data, target)
-    return {
-        "command": "cox-certify",
-        "target": _vec(cert.target),
-        "delta": cert.delta,
-        "mu_sup": cert.mu_sup,
-        "condition_ok": cert.condition_ok,
-        "bracket_lo": cert.bracket_lo,
-        "bracket_hi": cert.bracket_hi,
-        "newton_step": _vec(cert.newton_step),
-        "expansion_bound": cert.expansion_bound,
-    }
+    return {"command": "cox-certify", **_fields(cert)}
 
 
 def _cmd_nls_certify(args):
@@ -421,22 +399,7 @@ def _cmd_nls_certify(args):
     else:
         target = read_vector(args.target)
     cert = nls.certify_nls(data, link, target)
-    return {
-        "command": "nls-certify",
-        "link": args.link,
-        "target": _vec(cert.target),
-        "delta": cert.delta,
-        "l_constants": {
-            "l2": cert.l_constants.l2,
-            "l_1_plus_alpha": cert.l_constants.l_1_plus_alpha,
-            "l1": cert.l_constants.l1,
-            "l_alpha": cert.l_constants.l_alpha,
-        },
-        "alpha": cert.alpha,
-        "condition_ok": cert.condition_ok,
-        "newton_step": _vec(cert.newton_step),
-        "remainder_bound": cert.remainder_bound,
-    }
+    return {"command": "nls-certify", "link": args.link, **_fields(cert)}
 
 
 def _cmd_kkt(args):
@@ -479,19 +442,14 @@ def _cmd_kkt(args):
     return {
         "command": "kkt",
         "family": args.family,
-        "kkt_point": {
-            "beta": _vec(point.beta),
-            "nu": _vec(point.nu),
-            "primal_residual": point.primal_residual,
-            "dual_residual": point.dual_residual,
-        },
-        "target": _vec(cert.target_beta),
-        "target_nu": _vec(cert.target_nu),
+        "kkt_point": point,
+        "target": cert.target_beta,
+        "target_nu": cert.target_nu,
         "delta": cert.delta,
         "holder_l": cert.holder_l,
         "alpha": cert.alpha,
         "condition_ok": cert.condition_ok,
-        "step": _vec(cert.step),
+        "step": cert.step,
         "remainder_bound": cert.remainder_bound,
     }
 
@@ -539,16 +497,11 @@ def build_parser():
                        help="headerless CSV of constraint rows a_1..a_p,b (kkt)")
         p.add_argument("--out", default=None,
                        help="output path (default: stdout)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap for sweeps (runs are serial and "
-                            "deterministic regardless)")
     return parser
 
 
 def run(args):
     """Execute a parsed command; returns (exit_code, json_text)."""
-    if args.threads < 1:
-        raise MestcertError("--threads must be >= 1")
     if args.target is None:
         args.target = ("plug-in" if args.command in ("screen", "posi", "kkt")
                        else "zeros")

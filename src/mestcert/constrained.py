@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, InfeasiblePointError,
-                     InvalidInputError, RankDeficientError)
-from .numkit import (as_matrix, as_vector, lu_factorization, op_norm,
-                     solve_linear, solve_linear_many)
+from .errors import (InfeasiblePointError, InvalidInputError,
+                     RankDeficientError)
+from .numkit import (as_matrix, as_parameter, as_vector, damped_newton,
+                     lu_factorization, op_norm, solve_linear,
+                     solve_linear_many)
 
 #: allowed constraint violation of a certificate target
 FEASIBILITY_TOL = 1e-9
@@ -123,51 +124,27 @@ def kkt_solve(grad, hess, a, b, init=None, tol=1e-10, max_iter=100):
         beta = a.T @ solve_linear(a @ a.T, b)
         nu = np.zeros(d)
     else:
-        beta = as_vector(init.beta, "init.beta").copy()
-        nu = as_vector(init.nu, "init.nu").copy()
+        beta = as_vector(init.beta, "init.beta")
+        nu = as_vector(init.nu, "init.nu")
         if beta.shape[0] != p or nu.shape[0] != d:
             raise InvalidInputError(
                 f"init has beta length {beta.shape[0]} / nu length "
                 f"{nu.shape[0]}, expected {p} / {d}")
-    tol = float(tol)
 
-    def residual(bta, mult):
-        dual = np.asarray(grad(bta), dtype=float) + a.T @ mult
-        primal = a @ bta - b
-        return dual, primal
+    def residual(x):
+        dual = np.asarray(grad(x[:p]), dtype=float) + a.T @ x[p:]
+        return dual, a @ x[:p] - b
 
-    for _ in range(int(max_iter)):
-        dual, primal = residual(beta, nu)
-        pn = float(np.linalg.norm(primal))
-        dn = float(np.linalg.norm(dual))
-        if pn <= tol and dn <= tol:
-            return KktPoint(beta=beta, nu=nu, primal_residual=pn,
-                            dual_residual=dn)
-        k = kkt_matrix(np.asarray(hess(beta), dtype=float), a)
-        z = -solve_linear(k, np.concatenate([dual, primal]))
-        merit0 = float(np.hypot(dn, pn))
-        t = 1.0
-        for _ in range(50):
-            cand_b = beta + t * z[:p]
-            cand_n = nu + t * z[p:]
-            cd, cp = residual(cand_b, cand_n)
-            merit = float(np.hypot(np.linalg.norm(cd), np.linalg.norm(cp)))
-            if np.isfinite(merit) and merit < merit0:
-                beta, nu = cand_b, cand_n
-                break
-            t *= 0.5
-        else:
-            raise ConvergenceError(
-                "line search stalled on the KKT residual", residual=merit0)
-    dual, primal = residual(beta, nu)
-    pn = float(np.linalg.norm(primal))
-    dn = float(np.linalg.norm(dual))
-    if pn <= tol and dn <= tol:
-        return KktPoint(beta=beta, nu=nu, primal_residual=pn, dual_residual=dn)
-    raise ConvergenceError(
-        f"KKT residuals did not reach {tol:.3g} within {max_iter} iterations "
-        f"(primal {pn:.3g}, dual {dn:.3g})",
-        iterations=int(max_iter), residual=max(pn, dn))
+    def newton_step(x, r):
+        k = kkt_matrix(np.asarray(hess(x[:p]), dtype=float), a)
+        return -solve_linear(k, np.concatenate(r))
+
+    x, (dual, primal) = damped_newton(
+        np.concatenate([beta, nu]), residual, newton_step, tol, max_iter,
+        norm=lambda r: (np.linalg.norm(r[0]), np.linalg.norm(r[1])))
+    return KktPoint(beta=x[:p], nu=x[p:],
+                    primal_residual=float(np.linalg.norm(primal)),
+                    dual_residual=float(np.linalg.norm(dual)))
 
 
 def certify_constrained(grad, hess, a, b, beta0, nu0=None,
@@ -181,10 +158,7 @@ def certify_constrained(grad, hess, a, b, beta0, nu0=None,
     objective -- certifies unconditionally with zero remainder.
     """
     a, b = check_constraints(a, b)
-    beta0 = as_vector(beta0, "beta0")
-    if beta0.shape[0] != a.shape[1]:
-        raise InvalidInputError(
-            f"beta0 has length {beta0.shape[0]}, expected {a.shape[1]}")
+    beta0 = as_parameter(beta0, a.shape[1], "beta0")
     violation = float(np.linalg.norm(a @ beta0 - b))
     if violation > FEASIBILITY_TOL:
         raise InfeasiblePointError(
@@ -201,10 +175,7 @@ def certify_constrained(grad, hess, a, b, beta0, nu0=None,
     if nu0 is None:
         nu0 = least_squares_multiplier(grad0, a)
     else:
-        nu0 = as_vector(nu0, "nu0")
-        if nu0.shape[0] != a.shape[0]:
-            raise InvalidInputError(
-                f"nu0 has length {nu0.shape[0]}, expected {a.shape[0]}")
+        nu0 = as_parameter(nu0, a.shape[0], "nu0")
     g0 = grad0 + a.T @ nu0
 
     h = as_matrix(np.asarray(hess(beta0), dtype=float), "Hessian")

@@ -34,9 +34,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (ConvergenceError, DegenerateRiskSetError,
-                     InvalidInputError)
-from .numkit import as_matrix, as_vector, solve_linear
+from .errors import DegenerateRiskSetError, InvalidInputError
+from .numkit import (as_matrix, as_parameter, as_vector, damped_newton,
+                     row_weights, solve_linear)
 
 #: certificate threshold for sup_s mu_n(s) * delta
 COX_CONDITION_LIMIT = 1.0 / 16.0
@@ -85,15 +85,6 @@ class SurvivalDataset:
     def n_features(self):
         return self.X.shape[1]
 
-    def _row_weights(self, fn):
-        if fn is None:
-            return np.ones(self.n_obs)
-        w = np.asarray([float(fn(row)) for row in self.X])
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise InvalidInputError("weight function produced negative or "
-                                    "non-finite values")
-        return w
-
 
 @dataclass(frozen=True)
 class CoxCertificate:
@@ -133,14 +124,6 @@ class SoftmaxRatioCheck(NamedTuple):
     ok: bool
 
 
-def _check_beta(data, beta):
-    beta = as_vector(beta, "beta")
-    if beta.shape[0] != data.n_features:
-        raise InvalidInputError(
-            f"beta has length {beta.shape[0]}, expected {data.n_features}")
-    return beta
-
-
 def _event_order(data):
     """Event row indices in ascending (time, index) order."""
     idx = np.flatnonzero(data.status)
@@ -168,9 +151,9 @@ def _risk_terms(data, beta, event_index, h2):
 
 def cox_objective(data, beta):
     """Negative weighted log partial likelihood."""
-    beta = _check_beta(data, beta)
-    h1 = data._row_weights(data.h1)
-    h2 = data._row_weights(data.h2)
+    beta = as_parameter(beta, data.n_features, "beta")
+    h1 = row_weights(data.h1, data.X)
+    h2 = row_weights(data.h2, data.X)
     total = 0.0
     for i in _event_order(data):
         _, _, logr = _risk_terms(data, beta, i, h2)
@@ -180,9 +163,9 @@ def cox_objective(data, beta):
 
 def cox_score(data, beta):
     """Score: sum over events of ``H1(X_i) (Xbar_{n,T_i} - X_i)``."""
-    beta = _check_beta(data, beta)
-    h1 = data._row_weights(data.h1)
-    h2 = data._row_weights(data.h2)
+    beta = as_parameter(beta, data.n_features, "beta")
+    h1 = row_weights(data.h1, data.X)
+    h2 = row_weights(data.h2, data.X)
     out = np.zeros(data.n_features)
     for i in _event_order(data):
         active, v, _ = _risk_terms(data, beta, i, h2)
@@ -197,9 +180,9 @@ def cox_jacobian(data, beta):
     Censored rows enter only through the risk sets; the result is symmetric
     positive semidefinite for nonnegative ``H1``.
     """
-    beta = _check_beta(data, beta)
-    h1 = data._row_weights(data.h1)
-    h2 = data._row_weights(data.h2)
+    beta = as_parameter(beta, data.n_features, "beta")
+    h1 = row_weights(data.h1, data.X)
+    h2 = row_weights(data.h2, data.X)
     out = np.zeros((data.n_features, data.n_features))
     for i in _event_order(data):
         active, v, _ = _risk_terms(data, beta, i, h2)
@@ -212,8 +195,8 @@ def cox_jacobian(data, beta):
 
 def mu_profile(data, beta0):
     """Covariate spread around the tilted risk-set means at each event time."""
-    beta0 = _check_beta(data, beta0)
-    h2 = data._row_weights(data.h2)
+    beta0 = as_parameter(beta0, data.n_features, "beta")
+    h2 = row_weights(data.h2, data.X)
     events = _event_order(data)
     times = data.time[events]
     mu_risk = np.empty(events.size)
@@ -237,7 +220,7 @@ def certify_cox(data, beta0):
     Requires an invertible score Jacobian at the target; a failed curvature
     condition is reported through ``condition_ok``, never raised.
     """
-    beta0 = _check_beta(data, beta0)
+    beta0 = as_parameter(beta0, data.n_features, "beta")
     zhat = cox_score(data, beta0)
     qhat = cox_jacobian(data, beta0)
     step = -solve_linear(qhat, zhat)
@@ -258,39 +241,11 @@ def certify_cox(data, beta0):
 def fit_cox(data, init=None, tol=1e-10, max_iter=100):
     """Partial-likelihood root by damped Newton (oracle-quality plumbing)."""
     beta = (np.zeros(data.n_features) if init is None
-            else _check_beta(data, init).copy())
-    tol = float(tol)
-    for _ in range(int(max_iter)):
-        z = cox_score(data, beta)
-        if float(np.linalg.norm(z)) <= tol:
-            return beta
-        znorm = float(np.linalg.norm(z))
-        step = -solve_linear(cox_jacobian(data, beta), z)
-        obj0 = cox_objective(data, beta)
-        t = 1.0
-        for _ in range(50):
-            cand = beta + t * step
-            with np.errstate(over="ignore", invalid="ignore"):
-                obj1 = cox_objective(data, cand)
-                accept = np.isfinite(obj1) and obj1 <= obj0
-                if not accept and np.isfinite(obj1):
-                    # objective plateaus at float resolution near the root
-                    znew = float(np.linalg.norm(cox_score(data, cand)))
-                    accept = np.isfinite(znew) and znew < znorm
-            if accept:
-                beta = cand
-                break
-            t *= 0.5
-        else:
-            raise ConvergenceError("line search could not reduce the "
-                                   "partial likelihood")
-    znorm = float(np.linalg.norm(cox_score(data, beta)))
-    if znorm <= tol:
-        return beta
-    raise ConvergenceError(
-        f"no partial-likelihood root with score norm <= {tol:.3g} within "
-        f"{max_iter} iterations (last {znorm:.3g})",
-        iterations=int(max_iter), residual=znorm)
+            else as_parameter(init, data.n_features, "beta").copy())
+    return damped_newton(beta, lambda b: cox_score(data, b),
+                         lambda b, z: -solve_linear(cox_jacobian(data, b), z),
+                         tol, max_iter,
+                         objective=lambda b: cox_objective(data, b))[0]
 
 
 def softmax_ratio_check(weights, a, s, t):

@@ -29,7 +29,9 @@ class SingularMatrixError(MestcertError):
 
 
 class ConvergenceError(MestcertError):
-    """Raised when an iterative solver exhausts its iteration budget."""
+    """Raised when an iterative solver stalls or exhausts its iteration
+    budget. ``residual`` is the residual norm where it stopped, when known;
+    ``iterations`` is set only when the budget ran out."""
 
     def __init__(self, message, iterations=None, residual=None):
         super().__init__(message)

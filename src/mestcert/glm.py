@@ -14,9 +14,9 @@ Swapping the empirical Hessian for a caller-supplied reference matrix adds
 the reference mismatch ``||Qref^-1 Qhat - I||_op`` to the bound coefficient;
 the library never estimates a reference itself.
 
-The ``fit`` solver is plumbing (damped Newton with step halving) used to
-*check* certificates against exact roots; certificates themselves never
-iterate.
+The ``fit`` solver is plumbing (:func:`~mestcert.numkit.damped_newton`)
+used to *check* certificates against exact roots; certificates themselves
+never iterate.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, SingularMatrixError
-from .numkit import as_matrix, as_vector, lu_factorization, op_norm, solve_linear
+from .numkit import (as_matrix, as_parameter, as_vector, damped_newton,
+                     lu_factorization, op_norm, solve_linear)
 
 #: curvature-ratio threshold of the certificate condition
 CONDITION_LIMIT = 4.0 / 3.0
@@ -87,28 +88,9 @@ class GlmCertificate:
     reference_mismatch: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class LinearExpansion:
-    """One-Newton-step expansion ``root ~ target + step`` with its certified
-    remainder bound and the Hessian variant that was inverted."""
-
-    target: np.ndarray
-    step: np.ndarray
-    remainder_bound: float
-    hessian_source: str  # "empirical" or "reference"
-
-
-def _check_theta(data, theta):
-    theta = as_vector(theta, "theta")
-    if theta.shape[0] != data.n_features:
-        raise InvalidInputError(
-            f"theta has length {theta.shape[0]}, expected {data.n_features}")
-    return theta
-
-
 def objective(data, family, theta):
     """Average weighted loss at ``theta``."""
-    theta = _check_theta(data, theta)
+    theta = as_parameter(theta, data.n_features)
     u = data.X @ theta
     w = family.row_weights(data.X)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -118,7 +100,7 @@ def objective(data, family, theta):
 
 def score(data, family, theta):
     """Gradient ``(1/n) sum_i l'(X_i @ theta, y_i) h(X_i) X_i``."""
-    theta = _check_theta(data, theta)
+    theta = as_parameter(theta, data.n_features)
     u = data.X @ theta
     w = family.row_weights(data.X)
     g = w * np.asarray(family.eval1(u, data.y), dtype=float)
@@ -127,7 +109,7 @@ def score(data, family, theta):
 
 def hessian(data, family, theta):
     """Hessian ``(1/n) sum_i l''(X_i @ theta, y_i) h(X_i) X_i X_i^T``."""
-    theta = _check_theta(data, theta)
+    theta = as_parameter(theta, data.n_features)
     u = data.X @ theta
     w = family.row_weights(data.X)
     c = w * np.asarray(family.eval2(u, data.y), dtype=float)
@@ -136,7 +118,7 @@ def hessian(data, family, theta):
 
 def delta(data, family, theta0):
     """Certified radius ``1.5 ||Qhat(theta0)^-1 Zhat(theta0)||_2``."""
-    theta0 = _check_theta(data, theta0)
+    theta0 = as_parameter(theta0, data.n_features)
     return 1.5 * float(np.linalg.norm(
         solve_linear(hessian(data, family, theta0), score(data, family, theta0))))
 
@@ -154,22 +136,16 @@ def fit(data, family, init=None, tol=1e-10, max_iter=100):
     :class:`~mestcert.errors.SingularMatrixError`.
     """
     theta = (np.zeros(data.n_features) if init is None
-             else _check_theta(data, init).copy())
-    tol = float(tol)
+             else as_parameter(init, data.n_features).copy())
 
-    def saturated(candidate):
-        u = data.X @ candidate
-        w = family.row_weights(data.X)
-        c = np.asarray(family.eval2(u, data.y), dtype=float) * w
-        return float(np.max(np.abs(c))) == 0.0
-
-    for _ in range(int(max_iter)):
-        z = score(data, family, theta)
-        znorm = float(np.linalg.norm(z))
+    def newton_step(theta, z):
         try:
-            step = -solve_linear(hessian(data, family, theta), z)
+            return -solve_linear(hessian(data, family, theta), z)
         except SingularMatrixError:
-            if saturated(theta):
+            u = data.X @ theta
+            w = family.row_weights(data.X)
+            c = np.asarray(family.eval2(u, data.y), dtype=float) * w
+            if float(np.max(np.abs(c))) == 0.0:
                 # the curvature underflowed to zero everywhere: the "root"
                 # is float saturation of a score whose true root sits at
                 # infinity (e.g. separable classification data)
@@ -177,37 +153,11 @@ def fit(data, family, init=None, tol=1e-10, max_iter=100):
                     "curvature saturated to zero; the root lies at infinity "
                     "(e.g. separable classification data)") from None
             raise
-        # accept a root only when the Newton correction is negligible too:
-        # for separated data the score decays to the tolerance while the
-        # Newton step stays order one
-        if znorm <= tol and float(np.linalg.norm(step)) <= \
-                np.sqrt(tol) * (1.0 + float(np.linalg.norm(theta))):
-            return theta
-        obj0 = objective(data, family, theta)
-        t = 1.0
-        for _ in range(50):
-            cand = theta + t * step
-            with np.errstate(over="ignore", invalid="ignore"):
-                obj1 = objective(data, family, cand)
-                accept = np.isfinite(obj1) and obj1 <= obj0
-                if not accept and np.isfinite(obj1):
-                    # Near the root the objective decrease drops below float
-                    # resolution; a shrinking score still certifies progress.
-                    znew = float(np.linalg.norm(score(data, family, cand)))
-                    accept = np.isfinite(znew) and znew < znorm
-            if accept:
-                theta = cand
-                break
-            t *= 0.5
-        else:
-            raise ConvergenceError(
-                "line search could not reduce the objective", residual=znorm)
-    znorm = float(np.linalg.norm(score(data, family, theta)))
-    raise ConvergenceError(
-        f"no root with score norm <= {tol:.3g} within {max_iter} iterations "
-        f"(last score norm {znorm:.3g}); for separable classification data "
-        f"the root lies at infinity",
-        iterations=int(max_iter), residual=znorm)
+
+    return damped_newton(theta, lambda t: score(data, family, t), newton_step,
+                         tol, max_iter,
+                         objective=lambda t: objective(data, family, t),
+                         step_tol=np.sqrt(float(tol)))[0]
 
 
 def certify(data, family, theta0, q_ref=None):
@@ -231,7 +181,7 @@ def certify(data, family, theta0, q_ref=None):
         A failed curvature condition is reported via ``condition_ok=False``,
         not raised; singular Hessians do raise.
     """
-    theta0 = _check_theta(data, theta0)
+    theta0 = as_parameter(theta0, data.n_features)
     zhat = score(data, family, theta0)
     qhat = hessian(data, family, theta0)
     step_emp = -solve_linear(qhat, zhat)
@@ -269,18 +219,6 @@ def certify(data, family, theta0, q_ref=None):
     )
 
 
-def expansion(data, family, theta0, q_ref=None):
-    """Package the one-step expansion matching :func:`certify`."""
-    cert = certify(data, family, theta0, q_ref=q_ref)
-    if q_ref is None:
-        return LinearExpansion(target=cert.target, step=cert.newton_step,
-                               remainder_bound=cert.expansion_bound_empirical,
-                               hessian_source="empirical")
-    return LinearExpansion(target=cert.target, step=cert.newton_step,
-                           remainder_bound=cert.expansion_bound_reference,
-                           hessian_source="reference")
-
-
 def hessian_holder_constant(data, family, theta0, max_growth=200):
     """Certified Lipschitz constant of the relative Hessian variation.
 
@@ -296,7 +234,7 @@ def hessian_holder_constant(data, family, theta0, max_growth=200):
     self-consistently covers ``1/(3L)``; quadratic objectives short-circuit
     to ``L = 0``.
     """
-    theta0 = _check_theta(data, theta0)
+    theta0 = as_parameter(theta0, data.n_features)
     u0 = data.X @ theta0
     w = family.row_weights(data.X)
     d2 = w * np.asarray(family.eval2(u0, data.y), dtype=float)

@@ -30,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError
+from .numkit import row_weights
 
 #: u-grid used to sanity-check a curvature bound at construction time
 _CHECK_GRID = np.arange(-3.0, 3.0 + 1e-9, 0.25)
@@ -70,17 +71,11 @@ class LossFamily:
 
     def row_weights(self, x):
         """Evaluate the weight function on each row of the design matrix."""
-        x = np.asarray(x, dtype=float)
-        if self.weight is None:
-            return np.ones(x.shape[0])
-        w = np.asarray([float(self.weight(row)) for row in x])
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise InvalidInputError("weight function produced negative or "
-                                    "non-finite values")
-        return w
+        return row_weights(self.weight, np.asarray(x, dtype=float))
 
 
-def _sigmoid(u):
+def sigmoid(u):
+    """Logistic function, evaluated without overflow for either sign."""
     u = np.asarray(u, dtype=float)
     out = np.empty_like(u)
     pos = u >= 0
@@ -124,13 +119,13 @@ def make_family(kind, alpha=None, eval0=None, eval1=None, eval2=None,
             return np.logaddexp(0.0, u) - y * u
 
         def l2(u, y):
-            s = _sigmoid(u)
+            s = sigmoid(u)
             return s * (1.0 - s) + 0.0 * np.asarray(y, float)
 
         return LossFamily(
             kind="logistic",
             eval0=l0,
-            eval1=lambda u, y: _sigmoid(u) - y,
+            eval1=lambda u, y: sigmoid(u) - y,
             eval2=l2,
             cbound=lambda u: np.exp(3.0 * np.asarray(u, dtype=float)),
             weight=weight,
@@ -156,11 +151,11 @@ def make_family(kind, alpha=None, eval0=None, eval1=None, eval2=None,
             return -y * u + (y + 1.0 / a) * np.logaddexp(0.0, u + log_a)
 
         def nb1(u, y):
-            s = _sigmoid(np.asarray(u, float) + log_a)
+            s = sigmoid(np.asarray(u, float) + log_a)
             return -y + (y + 1.0 / a) * s
 
         def nb2(u, y):
-            s = _sigmoid(np.asarray(u, float) + log_a)
+            s = sigmoid(np.asarray(u, float) + log_a)
             return (y + 1.0 / a) * s * (1.0 - s)
 
         return LossFamily(

@@ -41,8 +41,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError
-from .numkit import as_vector, lu_factorization, op_norm, solve_linear
+from .losses import sigmoid
+from .numkit import (as_parameter, damped_newton, lu_factorization, op_norm,
+                     solve_linear)
 
 #: exact sup of |sigma''| over the reals, nudged up for float safety
 SIGMOID_D2_SUP = math.nextafter(math.sqrt(3.0) / 18.0, math.inf)
@@ -69,31 +70,18 @@ class LinkSpec:
     name: str = ""
 
 
-def _sigmoid(u):
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
-
-
 def logistic_link():
     """Sigmoid link with globally valid smoothness constants."""
-    def g(u):
-        return _sigmoid(u)
-
     def g1(u):
-        s = _sigmoid(u)
+        s = sigmoid(u)
         return s * (1.0 - s)
 
     def g2(u):
-        s = _sigmoid(u)
+        s = sigmoid(u)
         return s * (1.0 - s) * (1.0 - 2.0 * s)
 
     return LinkSpec(
-        g=g, g1=g1, g2=g2,
+        g=sigmoid, g1=g1, g2=g2,
         c0=lambda x: 0.25 * float(np.linalg.norm(x)),
         c1=lambda x: SIGMOID_D2_SUP * float(np.linalg.norm(x)),
         c2=lambda x: SIGMOID_D3_SUP * float(np.linalg.norm(x)),
@@ -145,24 +133,16 @@ class NlsCertificate:
     remainder_bound: float
 
 
-def _check_theta(data, theta):
-    theta = as_vector(theta, "theta")
-    if theta.shape[0] != data.n_features:
-        raise InvalidInputError(
-            f"theta has length {theta.shape[0]}, expected {data.n_features}")
-    return theta
-
-
 def nls_objective(data, link, theta):
     """Mean squared residual ``(1/n) sum_i (y_i - g(X_i @ theta))^2``."""
-    theta = _check_theta(data, theta)
+    theta = as_parameter(theta, data.n_features)
     r = data.y - np.asarray(link.g(data.X @ theta), dtype=float)
     return float(np.mean(r * r))
 
 
 def nls_grad(data, link, theta):
     """Gradient ``-(2/n) sum_i (y_i - g(u_i)) g'(u_i) X_i``."""
-    theta = _check_theta(data, theta)
+    theta = as_parameter(theta, data.n_features)
     u = data.X @ theta
     r = data.y - np.asarray(link.g(u), dtype=float)
     gp = np.asarray(link.g1(u), dtype=float)
@@ -171,7 +151,7 @@ def nls_grad(data, link, theta):
 
 def nls_hess(data, link, theta):
     """Hessian ``(2/n) sum_i [g'(u_i)^2 - (y_i - g(u_i)) g''(u_i)] X_i X_i^T``."""
-    theta = _check_theta(data, theta)
+    theta = as_parameter(theta, data.n_features)
     u = data.X @ theta
     r = data.y - np.asarray(link.g(u), dtype=float)
     gp = np.asarray(link.g1(u), dtype=float)
@@ -187,7 +167,7 @@ def nls_constants(data, link, theta0):
     coef_i X_i X_i^T`` and coefficients built from the link's smoothness
     certificates; requires the Hessian at the target to be invertible.
     """
-    theta0 = _check_theta(data, theta0)
+    theta0 = as_parameter(theta0, data.n_features)
     u = data.X @ theta0
     r = data.y - np.asarray(link.g(u), dtype=float)
     gp_abs = np.abs(np.asarray(link.g1(u), dtype=float))
@@ -229,7 +209,7 @@ def certify_nls(data, link, theta0):
     with a positive constant (a fully quadratic problem certifies
     unconditionally); the remainder bound is ``omega(delta) * delta``.
     """
-    theta0 = _check_theta(data, theta0)
+    theta0 = as_parameter(theta0, data.n_features)
     grad = nls_grad(data, link, theta0)
     step = -solve_linear(nls_hess(data, link, theta0), grad)
     dlt = 1.5 * float(np.linalg.norm(step))
@@ -260,30 +240,8 @@ def fit_nls(data, link, init, tol=1e-10, max_iter=200):
     the returned point depends on the start. Used as the oracle that
     certificates are checked against.
     """
-    theta = _check_theta(data, init).copy()
-    tol = float(tol)
-    for _ in range(int(max_iter)):
-        grad = nls_grad(data, link, theta)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
-            return theta
-        step = -solve_linear(nls_hess(data, link, theta), grad)
-        t = 1.0
-        for _ in range(50):
-            cand = theta + t * step
-            gnew = float(np.linalg.norm(nls_grad(data, link, cand)))
-            if np.isfinite(gnew) and gnew < gnorm:
-                theta = cand
-                break
-            t *= 0.5
-        else:
-            raise ConvergenceError(
-                "line search stalled before reaching a gradient root",
-                residual=gnorm)
-    gnorm = float(np.linalg.norm(nls_grad(data, link, theta)))
-    if gnorm <= tol:
-        return theta
-    raise ConvergenceError(
-        f"no critical point with gradient norm <= {tol:.3g} within "
-        f"{max_iter} iterations (last {gnorm:.3g})",
-        iterations=int(max_iter), residual=gnorm)
+    theta = as_parameter(init, data.n_features).copy()
+    return damped_newton(
+        theta, lambda t: nls_grad(data, link, t),
+        lambda t, grad: -solve_linear(nls_hess(data, link, t), grad),
+        tol, max_iter)[0]

@@ -1,8 +1,8 @@
-"""Dense linear algebra and finite-difference primitives.
+"""Dense linear algebra, finite differences and the damped Newton driver.
 
 Everything downstream (certificates, fitters, resampling sweeps) funnels its
-matrix work through the three functions here, so their behaviour pins down
-the numerical contract of the whole package:
+matrix work through the solve and norm functions here, so their behaviour
+pins down the numerical contract of the whole package:
 
 * all inputs are validated to be finite;
 * ``solve_linear`` uses an LU factorization with partial pivoting and raises
@@ -10,6 +10,11 @@ the numerical contract of the whole package:
   instead of silently returning garbage;
 * results are deterministic: the same arrays in give bitwise the same arrays
   out on a given platform.
+
+``damped_newton`` is the one iterative loop of the package: ``glm.fit``,
+``cox.fit_cox``, ``nls.fit_nls`` and ``constrained.kkt_solve`` each hand it
+a residual, a Newton step and a line-search rule. Certificates never
+iterate.
 
 Matrices are plain 2-d ``numpy`` arrays in row-major order, vectors are 1-d
 arrays. Sparse and complex inputs are out of scope.
@@ -20,13 +25,16 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidInputError, SingularMatrixError
+from .errors import ConvergenceError, InvalidInputError, SingularMatrixError
 
 #: relative pivot threshold below which a factorization is declared singular
 SINGULAR_PIVOT_RTOL = 1e-12
 
 #: residual contract of solve_linear: ||Ax - b|| <= RTOL * (1 + ||b||)
 SOLVE_RESIDUAL_RTOL = 1e-9
+
+#: step halvings the line search of damped_newton tries before it gives up
+MAX_HALVINGS = 50
 
 
 def as_matrix(a, name="matrix"):
@@ -51,6 +59,27 @@ def as_vector(v, name="vector"):
     if not np.all(np.isfinite(x)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return x
+
+
+def as_parameter(v, size, name="theta"):
+    """Validate ``v`` as a finite parameter vector of length ``size``."""
+    x = as_vector(v, name)
+    if x.shape[0] != size:
+        raise InvalidInputError(
+            f"{name} has length {x.shape[0]}, expected {size}")
+    return x
+
+
+def row_weights(fn, x):
+    """Evaluate a per-row weight callback on each row of ``x``; ``None``
+    means unit weights. Negative or non-finite weights are rejected."""
+    if fn is None:
+        return np.ones(x.shape[0])
+    w = np.asarray([float(fn(row)) for row in x])
+    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+        raise InvalidInputError("weight function produced negative or "
+                                "non-finite values")
+    return w
 
 
 def op_norm(m):
@@ -195,3 +224,74 @@ def fd_jacobian(f, theta, h):
         cols.append((np.atleast_1d(np.asarray(f(tp), dtype=float))
                      - np.atleast_1d(np.asarray(f(tm), dtype=float))) / (2.0 * h))
     return np.column_stack(cols)
+
+
+def damped_newton(x, residual, newton_step, tol, max_iter, objective=None,
+                  norm=np.linalg.norm, step_tol=None):
+    """Find a root of ``residual`` by Newton steps with step halving.
+
+    Each iteration evaluates ``r = residual(x)`` and ``step = newton_step(x,
+    r)``, then halves the step up to 50 times until the line-search rule
+    accepts ``x + t * step``:
+
+    * with ``objective``, the objective must not increase; a candidate
+      whose objective rose but stayed finite is still accepted when its
+      residual is smaller (near the root the decrease of the objective
+      drops below float resolution);
+    * without it, the residual must shrink strictly.
+
+    ``norm(r)`` is the size of the residual, or a sequence with the sizes
+    of its blocks: the iteration stops once every block is at most ``tol``,
+    and the line search compares the Euclidean combination of the blocks.
+    With ``step_tol``, a root also needs a Newton step of at most
+    ``step_tol * (1 + ||x||)``; that tells a genuine root from a residual
+    that only fades as ``x`` runs off to infinity.
+
+    Returns ``(root, residual at the root)``. Raises
+    :class:`~mestcert.errors.ConvergenceError` with ``residual`` set when
+    the line search stalls, and with ``iterations`` set too when
+    ``max_iter`` iterations end without a root.
+    """
+    tol = float(tol)
+    for _ in range(int(max_iter)):
+        r = residual(x)
+        done, size = _sizes(norm(r), tol)
+        if done and step_tol is None:
+            return x, r
+        step = newton_step(x, r)
+        if done and float(np.linalg.norm(step)) <= \
+                step_tol * (1.0 + float(np.linalg.norm(x))):
+            return x, r
+        f0 = None if objective is None else objective(x)
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            cand = x + t * step
+            with np.errstate(over="ignore", invalid="ignore"):
+                f1 = None if objective is None else objective(cand)
+                accept = f1 is not None and np.isfinite(f1) and f1 <= f0
+                if not accept and (f1 is None or np.isfinite(f1)):
+                    new = _sizes(norm(residual(cand)), tol)[1]
+                    accept = np.isfinite(new) and new < size
+            if accept:
+                x = cand
+                break
+            t *= 0.5
+        else:
+            raise ConvergenceError(
+                f"line search stalled: {MAX_HALVINGS} step halvings found no "
+                f"acceptable point (residual norm {size:.3g})", residual=size)
+    r = residual(x)
+    done, size = _sizes(norm(r), tol)
+    if done and step_tol is None:  # with step_tol the step test is missing
+        return x, r
+    raise ConvergenceError(
+        f"no root with residual norm <= {tol:.3g} within {max_iter} "
+        f"iterations (last {size:.3g}); the root may lie at infinity, e.g. "
+        f"for separable classification data",
+        iterations=int(max_iter), residual=size)
+
+
+def _sizes(sizes, tol):
+    """``(every block within tol, Euclidean size)`` of a residual."""
+    sizes = np.atleast_1d(np.asarray(sizes, dtype=float))
+    return bool(np.all(sizes <= tol)), float(np.hypot.reduce(sizes))

@@ -262,11 +262,6 @@ class TestCommands:
         assert code == 2
         assert "family-alpha" in json.loads(payload)["error"]
 
-    def test_bad_threads(self, ols_csv, tmp_path):
-        code, payload = run_cli(["certify", ols_csv, "--threads", "0"],
-                                tmp_path)
-        assert code == 2
-
     def test_survival_data_rejected_for_glm_commands(self, survival_csv,
                                                      tmp_path):
         code, payload = run_cli(["certify", survival_csv], tmp_path)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from conftest import gen_glm_instance
 
-from mestcert import (InfeasiblePointError, InvalidInputError,
-                      RankDeficientError, certify_constrained,
-                      hessian_holder_constant, kkt_solve,
+from mestcert import (ConvergenceError, InfeasiblePointError,
+                      InvalidInputError, RankDeficientError,
+                      certify_constrained, hessian_holder_constant, kkt_solve,
                       least_squares_multiplier, op_norm)
 from mestcert import glm
 from mestcert.constrained import check_constraints
@@ -76,6 +76,29 @@ class TestKktSolve:
             kkt_solve(grad, hess, a, np.zeros(2))
         with pytest.raises(RankDeficientError):
             check_constraints(np.ones((4, 3)), np.zeros(4))
+
+    def test_wrong_sign_hessian_stalls_line_search(self):
+        data, fam = gen_glm_instance("squared", 40, 3, seed=7400)
+        grad, hess = glm_callables(data, fam)
+        a = np.ones((1, 3))
+        b = np.array([0.5])
+        with pytest.raises(ConvergenceError) as err:
+            kkt_solve(grad, lambda beta: -hess(beta), a, b)
+        # the stall is at the start: the minimum-norm feasible point with
+        # zero multipliers, where only the dual residual is nonzero
+        start = np.full(3, 0.5 / 3.0)
+        assert err.value.iterations is None
+        assert err.value.residual == pytest.approx(
+            np.linalg.norm(grad(start)), rel=1e-12)
+
+    def test_iteration_budget_exhausted(self):
+        data, fam = gen_glm_instance("poisson", 60, 3, seed=7401)
+        grad, hess = glm_callables(data, fam)
+        with pytest.raises(ConvergenceError) as err:
+            kkt_solve(grad, hess, np.ones((1, 3)), np.array([0.5]),
+                      max_iter=1)
+        assert err.value.iterations == 1
+        assert err.value.residual > 1e-10
 
 
 class TestCertifyConstrained:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from conftest import gen_survival_instance
 
-from mestcert import (DegenerateRiskSetError, InvalidInputError,
-                      SingularMatrixError, SurvivalDataset, certify_cox,
-                      cox_jacobian, cox_objective, cox_score, fd_jacobian,
-                      fit_cox, mu_profile, softmax_ratio_check)
+from mestcert import (ConvergenceError, DegenerateRiskSetError,
+                      InvalidInputError, SingularMatrixError, SurvivalDataset,
+                      certify_cox, cox, cox_jacobian, cox_objective, cox_score,
+                      fd_jacobian, fit_cox, mu_profile, softmax_ratio_check)
 from mestcert.cox import COX_CONDITION_LIMIT, COX_EXPANSION_CONST
 
 
@@ -256,6 +256,24 @@ class TestFitCox:
         data = gen_survival_instance(40, 2, seed=210)
         root = fit_cox(data, tol=1e-12)
         assert np.linalg.norm(cox_score(data, root)) <= 1e-12
+
+    def test_wrong_sign_jacobian_stalls_line_search(self, monkeypatch):
+        data = gen_survival_instance(40, 2, seed=211)
+        jacobian = cox.cox_jacobian
+        monkeypatch.setattr(cox, "cox_jacobian",
+                            lambda d, beta: -jacobian(d, beta))
+        with pytest.raises(ConvergenceError) as err:
+            fit_cox(data)
+        assert err.value.iterations is None
+        assert err.value.residual == pytest.approx(
+            np.linalg.norm(cox_score(data, np.zeros(2))), rel=1e-12)
+
+    def test_iteration_budget_exhausted(self):
+        data = gen_survival_instance(40, 2, seed=212)
+        with pytest.raises(ConvergenceError) as err:
+            fit_cox(data, max_iter=1)
+        assert err.value.iterations == 1
+        assert err.value.residual > 1e-10
 
     def test_ties_processed_breslow_style(self):
         # duplicate event times: each event row is matched against the full

@@ -3,9 +3,9 @@ import pytest
 from conftest import gen_glm_instance
 
 from mestcert import (ConvergenceError, Dataset, InvalidInputError,
-                      SingularMatrixError, certify, delta, expansion,
-                      fd_jacobian, fit, hessian, hessian_holder_constant,
-                      make_family, op_norm, score)
+                      SingularMatrixError, certify, delta, fd_jacobian, fit,
+                      hessian, hessian_holder_constant, make_family, op_norm,
+                      score)
 from mestcert.glm import objective
 
 SQ = make_family("squared")
@@ -108,6 +108,28 @@ class TestFit:
         with pytest.raises(ConvergenceError):
             fit(Dataset(X=x, y=y), make_family("logistic"), max_iter=80)
 
+    def test_sign_flipped_score_stalls_line_search(self):
+        # eval1 = -l': the Newton step climbs, so neither the objective nor
+        # the score norm can decrease along it
+        flipped = make_family(
+            "custom", eval0=lambda u, y: (u - y) ** 2,
+            eval1=lambda u, y: -2.0 * (u - y),
+            eval2=lambda u, y: 2.0 + 0.0 * u,
+            cbound=lambda u: 1.0 + 0.0 * np.asarray(u, dtype=float))
+        data, _ = gen_glm_instance("squared", 40, 2, seed=110)
+        with pytest.raises(ConvergenceError) as err:
+            fit(data, flipped)
+        assert err.value.iterations is None
+        assert err.value.residual == pytest.approx(
+            np.linalg.norm(score(data, SQ, np.zeros(2))), rel=1e-12)
+
+    def test_iteration_budget_exhausted(self):
+        data, fam = gen_glm_instance("logistic", 60, 2, seed=111)
+        with pytest.raises(ConvergenceError) as err:
+            fit(data, fam, max_iter=1)
+        assert err.value.iterations == 1
+        assert err.value.residual > 1e-10
+
     def test_singular_hessian(self):
         data = Dataset(X=[[1.0, 2.0]], y=[1.0])
         with pytest.raises(SingularMatrixError):
@@ -153,6 +175,10 @@ class TestCertify:
         assert cert.reference_mismatch == pytest.approx(0.0, abs=1e-12)
         assert cert.expansion_bound_reference == pytest.approx(
             cert.expansion_bound_empirical, rel=1e-9, abs=1e-15)
+        # the reference step inverts qhat itself: it is the empirical step
+        np.testing.assert_allclose(cert.newton_step,
+                                   certify(data, fam, theta0).newton_step,
+                                   rtol=1e-10)
 
     def test_squared_reference_bound_is_pure_mismatch(self):
         # constant curvature ratio: the reference bound reduces to
@@ -261,17 +287,6 @@ class TestInvariances:
         root_mapped = fit(mapped, fam, tol=1e-13)
         np.testing.assert_allclose(root_mapped,
                                    np.linalg.solve(g.T, root), atol=1e-8)
-
-
-class TestExpansionPackaging:
-    def test_sources(self):
-        data, fam = gen_glm_instance("poisson", 40, 2, seed=6400)
-        theta0 = np.array([0.05, -0.05])
-        emp = expansion(data, fam, theta0)
-        assert emp.hessian_source == "empirical"
-        ref = expansion(data, fam, theta0, q_ref=hessian(data, fam, theta0))
-        assert ref.hessian_source == "reference"
-        np.testing.assert_allclose(ref.step, emp.step, rtol=1e-10)
 
 
 class TestHolderConstant:

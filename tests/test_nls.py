@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mestcert import (Dataset, certify_nls, fd_jacobian, fit_nls,
-                      identity_link, logistic_link, make_family, nls_constants,
-                      nls_grad, nls_hess, nls_objective, op_norm,
-                      variation_modulus)
+from mestcert import (ConvergenceError, Dataset, LinkSpec, certify_nls,
+                      fd_jacobian, fit_nls, identity_link, logistic_link,
+                      make_family, nls_constants, nls_grad, nls_hess,
+                      nls_objective, op_norm, variation_modulus)
 from mestcert import certify as glm_certify
 from mestcert.nls import SIGMOID_D2_SUP, SIGMOID_D3_SUP
 
@@ -223,3 +223,25 @@ class TestCertify:
         for (lo, hi), root in zip(balls, (roots[0], roots[2])):
             inside = [r for r in roots if lo - 1e-12 <= r <= hi + 1e-12]
             assert inside == [root]
+
+
+class TestFitNls:
+    def test_wrong_link_derivative_stalls_line_search(self):
+        # g1 = -1 flips the gradient of the identity link, so the Newton step
+        # points away from the root and the gradient norm only grows
+        ident = identity_link()
+        bad = LinkSpec(g=ident.g, g1=lambda u: -np.ones_like(u), g2=ident.g2,
+                       c0=ident.c0, c1=ident.c1, c2=ident.c2)
+        data = gen_nls_instance(40, 2, seed=7300)
+        with pytest.raises(ConvergenceError) as err:
+            fit_nls(data, bad, np.zeros(2))
+        assert err.value.iterations is None
+        assert err.value.residual == pytest.approx(
+            np.linalg.norm(nls_grad(data, bad, np.zeros(2))), rel=1e-12)
+
+    def test_iteration_budget_exhausted(self):
+        data = gen_nls_instance(60, 2, seed=7301)
+        with pytest.raises(ConvergenceError) as err:
+            fit_nls(data, LINK, np.zeros(2), max_iter=1)
+        assert err.value.iterations == 1
+        assert err.value.residual > 1e-10
