@@ -162,15 +162,26 @@ def lu_factorization(a):
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"coefficient matrix must be square, got {a.shape}")
     lu, piv = _lu_factor_checked(a)
+    # the LAPACK routine behind scipy.linalg.lu_solve, called directly: the
+    # same bits out without its per-call wrapper cost, which dominates the
+    # many small solves of a deletion sweep
+    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
 
     def solve(rhs):
         r = np.asarray(rhs, dtype=float)
-        if r.shape[0] != a.shape[0]:
+        if r.ndim not in (1, 2) or r.shape[0] != a.shape[0]:
             raise InvalidInputError(
-                f"dimension mismatch: matrix is {a.shape}, rhs has leading "
-                f"dimension {r.shape[0]}"
+                f"dimension mismatch: matrix is {a.shape}, rhs has shape "
+                f"{r.shape}"
             )
-        return scipy.linalg.lu_solve((lu, piv), r)
+        if not np.isfinite(r).all():
+            raise InvalidInputError("right-hand side must be finite")
+        if r.size == 0:
+            return np.empty_like(r)
+        x, info = getrs(lu, piv, r)
+        if info != 0:
+            raise InvalidInputError(f"illegal value in argument {-info} of getrs")
+        return x
 
     return solve
 

@@ -175,10 +175,6 @@ class TestCertify:
         assert cert.reference_mismatch == pytest.approx(0.0, abs=1e-12)
         assert cert.expansion_bound_reference == pytest.approx(
             cert.expansion_bound_empirical, rel=1e-9, abs=1e-15)
-        # the reference step inverts qhat itself: it is the empirical step
-        np.testing.assert_allclose(cert.newton_step,
-                                   certify(data, fam, theta0).newton_step,
-                                   rtol=1e-10)
 
     def test_squared_reference_bound_is_pure_mismatch(self):
         # constant curvature ratio: the reference bound reduces to
@@ -287,6 +283,23 @@ class TestInvariances:
         root_mapped = fit(mapped, fam, tol=1e-13)
         np.testing.assert_allclose(root_mapped,
                                    np.linalg.solve(g.T, root), atol=1e-8)
+
+
+class TestExpansionPackaging:
+    def test_sources(self):
+        # the certificate carries the one-step expansion: reference fields
+        # are set only when a reference Hessian was supplied, and the step
+        # from q_ref = Qhat is the empirical step
+        data, fam = gen_glm_instance("poisson", 40, 2, seed=6400)
+        theta0 = np.array([0.05, -0.05])
+        emp = certify(data, fam, theta0)
+        assert emp.expansion_bound_reference is None
+        assert emp.reference_mismatch is None
+        ref = certify(data, fam, theta0, q_ref=hessian(data, fam, theta0))
+        assert ref.expansion_bound_reference is not None
+        assert ref.reference_mismatch is not None
+        np.testing.assert_allclose(ref.newton_step, emp.newton_step,
+                                   rtol=1e-10)
 
 
 class TestHolderConstant:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mestcert import InvalidInputError, SingularMatrixError, fd_jacobian, op_norm, solve_linear
+from mestcert.numkit import lu_factorization
 
 
 class TestOpNorm:
@@ -80,6 +82,28 @@ class TestSolveLinear:
             b = rng.normal(size=8)
             x = solve_linear(a, b)
             assert np.linalg.norm(a @ x - b) <= 1e-9 * (1 + np.linalg.norm(b))
+
+
+class TestLuFactorization:
+    def test_matches_scipy_lu_solve_bitwise(self):
+        rng = np.random.default_rng(44)
+        a = rng.normal(size=(5, 5)) + 5.0 * np.eye(5)
+        solve = lu_factorization(a)
+        lu_piv = scipy.linalg.lu_factor(a)
+        for rhs in (rng.normal(size=5), rng.normal(size=(5, 3))):
+            assert solve(rhs).tobytes() == scipy.linalg.lu_solve(
+                lu_piv, rhs).tobytes()
+
+    def test_rejects_bad_rhs(self):
+        solve = lu_factorization(np.eye(2))
+        with pytest.raises(InvalidInputError):
+            solve([1.0, np.nan])
+        with pytest.raises(InvalidInputError):
+            solve([1.0, 2.0, 3.0])
+
+    def test_singular_raises(self):
+        with pytest.raises(SingularMatrixError):
+            lu_factorization([[1.0, 2.0], [2.0, 4.0]])
 
 
 class TestFdJacobian:
