@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numkit import as_matrix, as_vector, op_norm, solve_linear
+from .numkit import (as_matrix, as_vector, op_norm, solve_linear,
+                     solve_linear_many)
 
 #: slack applied to the center self-check of a contraction certificate
 _CENTER_CHECK_RTOL = 1e-12
@@ -126,7 +127,7 @@ def contraction_certificate(f, jac, a_matrix, theta0, radius, variation_bound):
         return reject(f"contraction constant {eps:.6g} exceeds 1")
     if jac is not None:
         j0 = as_matrix(np.asarray(jac(theta0), dtype=float), "jac(theta0)")
-        center_var = op_norm(np.eye(a.shape[0]) - np.linalg.solve(a, j0))
+        center_var = op_norm(np.eye(a.shape[0]) - solve_linear_many(a, j0))
         if center_var > eps * (1.0 + _CENTER_CHECK_RTOL) + _CENTER_CHECK_RTOL:
             return reject(
                 f"variation bound {eps:.6g} is already violated at the "

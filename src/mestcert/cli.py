@@ -29,6 +29,7 @@ reported as ``{"error": ...}``.
 import argparse
 import csv
 import dataclasses
+import json
 import math
 import sys
 
@@ -201,7 +202,7 @@ def _write_json(obj, out):
         v = float(obj)
         out.append(format(v, ".17g") if math.isfinite(v) else "null")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, np.ndarray):
         _write_json(obj.tolist(), out)
     elif isinstance(obj, dict):
@@ -353,6 +354,9 @@ def _cmd_screen(args):
 
 
 def _cmd_posi(args):
+    if args.target != "plug-in":
+        raise MestcertError("posi certifies each submodel at its plug-in "
+                            "root; --target must be 'plug-in'")
     family = _build_family(args)
     data = _require_dataset(read_csv(args.data), "posi")
     if not args.models:

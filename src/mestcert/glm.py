@@ -232,7 +232,8 @@ def hessian_holder_constant(data, family, theta0, max_growth=200):
 
     The radius/constant pair is found by growing the trial radius until it
     self-consistently covers ``1/(3L)``; quadratic objectives short-circuit
-    to ``L = 0``.
+    to ``L = 0``. A singular ``Qhat(theta0)`` raises
+    :class:`~mestcert.errors.SingularMatrixError`.
     """
     theta0 = as_parameter(theta0, data.n_features)
     u0 = data.X @ theta0
@@ -240,8 +241,9 @@ def hessian_holder_constant(data, family, theta0, max_growth=200):
     d2 = w * np.asarray(family.eval2(u0, data.y), dtype=float)
     row_norms = np.linalg.norm(data.X, axis=1)
     base = d2 * row_norms ** 2 / data.n_obs
-    qhat = hessian(data, family, theta0)
-    hinv_norm = op_norm(np.linalg.inv(qhat))
+    # Qhat(theta0), as hessian() forms it, from the curvature at hand
+    qhat = data.X.T @ (data.X * d2[:, None]) / data.n_obs
+    hinv_norm = op_norm(lu_factorization(qhat)(np.eye(data.n_features)))
 
     def l_at(radius):
         gaps = row_norms * radius

@@ -168,6 +168,11 @@ def nls_constants(data, link, theta0):
     certificates; requires the Hessian at the target to be invertible.
     """
     theta0 = as_parameter(theta0, data.n_features)
+    return _nls_constants(data, link, theta0, nls_hess(data, link, theta0))
+
+
+def _nls_constants(data, link, theta0, h0):
+    """:func:`nls_constants` given the Hessian ``h0`` at the target."""
     u = data.X @ theta0
     r = data.y - np.asarray(link.g(u), dtype=float)
     gp_abs = np.abs(np.asarray(link.g1(u), dtype=float))
@@ -176,7 +181,7 @@ def nls_constants(data, link, theta0):
     c1 = np.asarray([float(link.c1(row)) for row in data.X])
     c2 = np.asarray([float(link.c2(row)) for row in data.X])
 
-    hsolve = lu_factorization(nls_hess(data, link, theta0))
+    hsolve = lu_factorization(h0)
 
     def norm_of(coefs):
         if not np.any(coefs):
@@ -211,10 +216,11 @@ def certify_nls(data, link, theta0):
     """
     theta0 = as_parameter(theta0, data.n_features)
     grad = nls_grad(data, link, theta0)
-    step = -solve_linear(nls_hess(data, link, theta0), grad)
+    h0 = nls_hess(data, link, theta0)
+    step = -solve_linear(h0, grad)
     dlt = 1.5 * float(np.linalg.norm(step))
 
-    consts = nls_constants(data, link, theta0)
+    consts = _nls_constants(data, link, theta0, h0)
     alpha = float(link.alpha)
     exponents = (2.0, 1.0 + alpha, 1.0, alpha)
     ok = True

@@ -5,9 +5,10 @@ matrix work through the solve and norm functions here, so their behaviour
 pins down the numerical contract of the whole package:
 
 * all inputs are validated to be finite;
-* ``solve_linear`` uses an LU factorization with partial pivoting and raises
-  :class:`~mestcert.errors.SingularMatrixError` (carrying the offending pivot)
-  instead of silently returning garbage;
+* every factorization in the package comes from the one checked LU core
+  behind ``lu_factorization`` (and ``solve_linear``/``solve_linear_many``):
+  partial pivoting, and :class:`~mestcert.errors.SingularMatrixError`
+  (carrying the offending pivot) instead of silently returning garbage;
 * results are deterministic: the same arrays in give bitwise the same arrays
   out on a given platform.
 
@@ -123,33 +124,20 @@ def solve_linear(a, b):
         If the smallest pivot of the factorization falls below
         ``1e-12 * max|a_ij|``. The error carries that pivot magnitude.
     """
-    a = as_matrix(a, "coefficient matrix")
+    a, solve = _factor(a)
     x = as_vector(b, "right-hand side")
-    if a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"coefficient matrix must be square, got {a.shape}")
-    if a.shape[0] != x.shape[0]:
-        raise InvalidInputError(
-            f"dimension mismatch: matrix is {a.shape}, vector has length {x.shape[0]}"
-        )
-    lu, piv = _lu_factor_checked(a)
-    sol = scipy.linalg.lu_solve((lu, piv), x)
+    sol = solve(x)
     resid = x - a @ sol
     rnorm = float(np.linalg.norm(resid))
     if rnorm > SOLVE_RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(x))):
-        sol = sol + scipy.linalg.lu_solve((lu, piv), resid)
+        sol = sol + solve(resid)
     return sol
 
 
 def solve_linear_many(a, b):
     """Solve ``a X = B`` for a matrix right-hand side (shared factorization)."""
-    a = as_matrix(a, "coefficient matrix")
-    rhs = as_matrix(b, "right-hand side")
-    if a.shape[0] != a.shape[1] or a.shape[0] != rhs.shape[0]:
-        raise InvalidInputError(
-            f"dimension mismatch: matrix is {a.shape}, rhs is {rhs.shape}"
-        )
-    lu, piv = _lu_factor_checked(a)
-    return scipy.linalg.lu_solve((lu, piv), rhs)
+    solve = _factor(a)[1]
+    return solve(as_matrix(b, "right-hand side"))
 
 
 def lu_factorization(a):
@@ -158,22 +146,42 @@ def lu_factorization(a):
     Returns a callable mapping right-hand sides (1-d or 2-d) to solutions.
     Raises :class:`SingularMatrixError` like :func:`solve_linear`.
     """
+    return _factor(a)[1]
+
+
+def _factor(a):
+    """The one LU decision of the package: validate ``a`` as a square finite
+    matrix, factor it with partial pivoting, reject it as singular when its
+    smallest pivot falls below ``SINGULAR_PIVOT_RTOL * max|a_ij|``, and
+    return ``(a, solve)``."""
     a = as_matrix(a, "coefficient matrix")
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"coefficient matrix must be square, got {a.shape}")
-    lu, piv = _lu_factor_checked(a)
-    # the LAPACK routine behind scipy.linalg.lu_solve, called directly: the
-    # same bits out without its per-call wrapper cost, which dominates the
-    # many small solves of a deletion sweep
+    scale = float(np.max(np.abs(a)))
+    if scale == 0.0:
+        raise SingularMatrixError("matrix is identically zero", 0.0)
+    with warnings.catch_warnings():
+        # singularity is detected from the pivots below, not from the warning
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    smallest = float(np.abs(np.diag(lu)).min())
+    if smallest < SINGULAR_PIVOT_RTOL * scale:
+        raise SingularMatrixError(
+            f"matrix is singular to working tolerance "
+            f"(smallest pivot {smallest:.3e} < {SINGULAR_PIVOT_RTOL:.0e} * "
+            f"max entry {scale:.3e})",
+            smallest,
+        )
+    # LAPACK getrs, called directly: the same bits as scipy's LU solve
+    # without its per-call wrapper cost, which dominates the many small
+    # solves of a deletion sweep
     getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
 
     def solve(rhs):
         r = np.asarray(rhs, dtype=float)
         if r.ndim not in (1, 2) or r.shape[0] != a.shape[0]:
-            raise InvalidInputError(
-                f"dimension mismatch: matrix is {a.shape}, rhs has shape "
-                f"{r.shape}"
-            )
+            raise InvalidInputError(f"dimension mismatch: matrix is "
+                                    f"{a.shape}, rhs has shape {r.shape}")
         if not np.isfinite(r).all():
             raise InvalidInputError("right-hand side must be finite")
         if r.size == 0:
@@ -183,27 +191,7 @@ def lu_factorization(a):
             raise InvalidInputError(f"illegal value in argument {-info} of getrs")
         return x
 
-    return solve
-
-
-def _lu_factor_checked(a):
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        raise SingularMatrixError("matrix is identically zero", 0.0)
-    with warnings.catch_warnings():
-        # singularity is detected from the pivots below, not from the warning
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    smallest = float(pivots.min())
-    if smallest < SINGULAR_PIVOT_RTOL * scale:
-        raise SingularMatrixError(
-            f"matrix is singular to working tolerance "
-            f"(smallest pivot {smallest:.3e} < {SINGULAR_PIVOT_RTOL:.0e} * "
-            f"max entry {scale:.3e})",
-            smallest,
-        )
-    return lu, piv
+    return a, solve
 
 
 def fd_jacobian(f, theta, h):

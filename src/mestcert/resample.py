@@ -36,7 +36,7 @@ estimates population quantities. Report entries are ordered by sorted key
 so output is deterministic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -215,12 +215,8 @@ def loo_sweep(data, family, theta_hat, index_sets=None, exact=False,
     for idx in sets:
         e = ctx.entry(idx)
         if exact:
-            e = LooEntry(indices=e.indices, approx_estimate=e.approx_estimate,
-                         delta_i=e.delta_i, certified=e.certified,
-                         deviation_bound=e.deviation_bound,
-                         exact_estimate=loo_exact(data, family, idx,
-                                                  tol=exact_tol,
-                                                  init=ctx.theta_hat))
+            e = replace(e, exact_estimate=loo_exact(
+                data, family, idx, tol=exact_tol, init=ctx.theta_hat))
         entries.append(e)
     return LooReport(theta_hat=ctx.theta_hat, entries=entries)
 

@@ -132,7 +132,17 @@ class TestDumpJson:
         assert dump_json(float("nan")) == "null\n"
 
     def test_escaping(self):
-        assert json.loads(dump_json('a "b" \\ c')) == 'a "b" \\ c'
+        for text in ('a "b" \\ c', 'tab\there\nnew\x01\x1f é'):
+            assert json.loads(dump_json(text)) == text
+        # without control characters the bytes are the plain quoted string,
+        # non-ASCII included
+        assert dump_json('a "b" \\ é') == '"a \\"b\\" \\\\ é"\n'
+
+    def test_error_report_with_tab_in_header_parses(self, tmp_path):
+        path = write(tmp_path, "t.csv", "a\tb,y\n1,2\nx,3\n")
+        code, payload = run_cli(["fit", path], tmp_path)
+        assert code == 2
+        assert "'a\tb'" in json.loads(payload)["error"]
 
 
 class TestCommands:
@@ -211,6 +221,17 @@ class TestCommands:
         assert report["uniform_condition_ok"] is True
         assert [m["indices"] for m in report["per_model"]] == [[1], [1, 2], [2]]
 
+    def test_posi_rejects_other_targets(self, ols_csv, tmp_path):
+        models = write(tmp_path, "models.txt", "1\n2\n")
+        target = write(tmp_path, "target.txt", "0.0 0.0\n")
+        base = ["posi", ols_csv, "--family", "squared", "--models", models]
+        for value in ("zeros", target):
+            code, payload = run_cli(base + ["--target", value], tmp_path)
+            assert code == 2
+            assert "plug-in" in json.loads(payload)["error"]
+        assert run_cli(base + ["--target", "plug-in"], tmp_path)[1] == \
+            run_cli(base, tmp_path)[1]
+
     def test_cox_certify_command(self, survival_csv, tmp_path):
         code, payload = run_cli(["cox-certify", survival_csv], tmp_path)
         assert code == 0
@@ -244,6 +265,23 @@ class TestCommands:
         assert report["condition_ok"] is True
         assert report["remainder_bound"] == 0.0
         assert abs(sum(report["kkt_point"]["beta"]) - 1.0) <= 1e-9
+
+    def test_kkt_singular_hessian_exits_2(self, tmp_path):
+        # column c duplicates a: the KKT system is solvable but Qhat is
+        # singular, which the Hoelder constant must report, not crash on
+        rng = np.random.default_rng(712)
+        x = rng.normal(size=(30, 2))
+        y = x @ np.array([1.0, 0.5]) + 0.1 * rng.normal(size=30)
+        rows = ["a,b,c,y"] + [",".join(repr(float(v)) for v in
+                                       (x[i, 0], x[i, 1], x[i, 0], y[i]))
+                              for i in range(30)]
+        path = write(tmp_path, "dup.csv", "\n".join(rows) + "\n")
+        cons = write(tmp_path, "cons.csv", "1,0,-1,0\n")
+        code, payload = run_cli(["kkt", path, "--constraints", cons],
+                                tmp_path)
+        assert code == 2
+        assert json.loads(payload)["error"].startswith(
+            "matrix is singular to working tolerance")
 
     def test_unknown_family_exits_2(self, ols_csv):
         with pytest.raises(SystemExit) as err:

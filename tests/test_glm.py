@@ -6,6 +6,7 @@ from mestcert import (ConvergenceError, Dataset, InvalidInputError,
                       SingularMatrixError, certify, delta, fd_jacobian, fit,
                       hessian, hessian_holder_constant, make_family, op_norm,
                       score)
+from mestcert import glm
 from mestcert.glm import objective
 
 SQ = make_family("squared")
@@ -323,3 +324,28 @@ class TestHolderConstant:
             h = hessian(data, fam, theta0 + r * direction)
             observed = op_norm(np.linalg.solve(h0, h - h0))
             assert observed <= l * r * (1 + 1e-9) + 1e-15
+
+    def test_matches_explicit_inverse(self, monkeypatch):
+        # the checked LU solve against the identity may move the last bit
+        # of ||Qhat^-1||_op relative to an explicit inverse, nothing more
+        cases = []
+        for seed in range(6510, 6530):
+            kind = ("logistic", "poisson", "negbinomial")[seed % 3]
+            data, fam = gen_glm_instance(kind, 40, 3, seed=seed)
+            theta0 = fit(data, fam, tol=1e-10)
+            cases.append((data, fam, theta0,
+                          hessian_holder_constant(data, fam, theta0)[0]))
+        monkeypatch.setattr(glm, "lu_factorization",
+                            lambda a: lambda rhs: np.linalg.inv(a) @ rhs)
+        for data, fam, theta0, l in cases:
+            l_inv = hessian_holder_constant(data, fam, theta0)[0]
+            assert l > 0.0
+            assert l == pytest.approx(l_inv, rel=1e-14, abs=0.0)
+
+    def test_singular_hessian_raises(self):
+        # a duplicated column makes Qhat exactly singular
+        data, fam = gen_glm_instance("logistic", 30, 2, seed=6540)
+        dup = Dataset(X=np.column_stack([data.X, data.X[:, 0]]), y=data.y)
+        for family in (fam, SQ):
+            with pytest.raises(SingularMatrixError):
+                hessian_holder_constant(dup, family, np.zeros(3))
