@@ -354,9 +354,6 @@ def _cmd_screen(args):
 
 
 def _cmd_posi(args):
-    if args.target != "plug-in":
-        raise MestcertError("posi certifies each submodel at its plug-in "
-                            "root; --target must be 'plug-in'")
     family = _build_family(args)
     data = _require_dataset(read_csv(args.data), "posi")
     if not args.models:
@@ -506,6 +503,15 @@ def build_parser():
 
 def run(args):
     """Execute a parsed command; returns (exit_code, json_text)."""
+    if args.command == "posi" and args.target not in (None, "plug-in"):
+        raise MestcertError("posi certifies each submodel at its plug-in "
+                            "root; --target must be 'plug-in'")
+    if args.target is not None and args.command in ("fit", "loo"):
+        raise MestcertError(f"{args.command} works at its own fitted root; "
+                            "--target is not accepted")
+    if args.q_ref is not None and args.command not in ("certify", "screen"):
+        raise MestcertError(f"{args.command} has no reference Hessian; "
+                            "--q-ref is accepted only by certify and screen")
     if args.target is None:
         args.target = ("plug-in" if args.command in ("screen", "posi", "kkt")
                        else "zeros")

@@ -7,10 +7,38 @@ failing subject within its risk set ``{j : T_j >= s}``:
     sum_{i : event} H1(X_i) [ log R_n(T_i, beta) - beta @ X_i ],
     R_n(s, beta) = sum_j H2(X_j) 1{T_j >= s} exp(beta @ X_j).
 
-``H1``/``H2`` are optional nonnegative down-weighting functions (default 1).
-Tied event times are processed one event row at a time against the common
-risk set, which matches the counting-process form of the objective exactly
-(Breslow-style, no tie correction).
+``H1``/``H2`` are optional nonnegative down-weighting functions (default 1),
+evaluated once per row when the dataset is built. Tied event times are
+processed one event row at a time against the common risk set, which
+matches the counting-process form of the objective exactly (Breslow-style,
+no tie correction).
+
+All four quantities -- objective, score, Jacobian and the tilted risk-set
+means behind ``mu_profile`` -- come from one vectorised pass that costs
+``O(n log n + n p^2)``:
+
+* Rows are sorted once by descending time, so every risk set is a prefix of
+  the sorted order; ``searchsorted`` finds each event's prefix, which puts
+  tied times in the same set.
+* Covariates are centred at the unweighted mean ``c`` of the rows that are
+  ever at risk. The partial likelihood is translation invariant, so this
+  changes no value, but it keeps the sums small when covariates carry a
+  large common offset. Rows never at risk are dropped before any sum.
+* Reverse cumulative sums of ``r = H2 exp(eta - shift)`` and ``r x`` give
+  every ``R_n`` and tilted mean. A single global shift would underflow the
+  late, small risk sets when ``eta`` spans hundreds of units, so the shift
+  follows the running maximum of ``eta`` in sorted order and is re-based
+  (the partial sums rescaled) whenever that maximum has risen by more than
+  ``_REBASE_MARGIN``; there are at most ``range(eta) / _REBASE_MARGIN + 1``
+  re-bases.
+* The Jacobian is ``Xc^T diag(r A) Xc - sum_i H1_i xbar_i xbar_i^T`` with
+  ``A_j = sum_{events i : s_i <= T_j} H1_i / R_n(s_i)``, both in centred
+  coordinates, so no ``n x p^2`` array is formed.
+
+Accuracy limit: the Jacobian is a difference of two sums, so its rounding
+error scales with ``eps * sum_i H1_i ||xbar_i - c||^2``. That is harmless
+unless some risk set's tilt concentrates on a single row far from ``c``,
+where the true covariance is small and the absolute error is not.
 
 Curvature stability of the certificate is governed by the geometry term
 
@@ -21,7 +49,9 @@ The certificate condition is ``sup_s mu_n(s) * delta <= 1/16`` with
 ``delta = 1.5 ||Qhat^-1 Zhat||_2``, and the one-step expansion error is
 bounded by ``8 e^{1/4} delta^2 sup_s mu_n(s)``. The max over ``i`` runs over
 *all* rows (the conservative, literal form); the per-event profile also
-reports the risk-set-restricted variant for diagnostics.
+reports the risk-set-restricted variant for diagnostics. ``mu_profile``
+picks each event's farthest row from a chunked Gram product and recomputes
+that row's distance from the direct difference.
 
 ``softmax_ratio_check`` exposes the underlying scalar inequality -- the
 second derivative of ``t -> log sum_i w_i exp(a_i t)`` moves by at most the
@@ -42,6 +72,11 @@ from .numkit import (as_matrix, as_parameter, as_vector, damped_newton,
 COX_CONDITION_LIMIT = 1.0 / 16.0
 #: constant of the expansion bound 8 e^{1/4} delta^2 sup mu
 COX_EXPANSION_CONST = 8.0 * np.exp(0.25)
+#: rise of the running max of eta that triggers a re-based shift; terms
+#: stay below exp(300), far from overflow
+_REBASE_MARGIN = 300.0
+#: elements per Gram block in mu_profile
+_MU_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -51,6 +86,12 @@ class SurvivalDataset:
     ``status`` flags events (True) versus censorings; at least one event is
     required. ``h1``/``h2`` take a covariate row and return a nonnegative
     weight; ``None`` means unit weights.
+
+    Construction also sets plain (non-field) attributes that every Cox pass
+    reuses: ``time_order`` (rows by descending time, ties in index order),
+    ``event_rows`` (event rows in ascending (time, index) order) and the
+    per-row weights ``h1_weights``/``h2_weights``, one callback call per
+    row. Treat the arrays as read-only.
     """
 
     X: np.ndarray
@@ -73,9 +114,14 @@ class SurvivalDataset:
             raise InvalidInputError("event/censoring times must be >= 0")
         if not np.any(s):
             raise InvalidInputError("at least one event is required")
-        object.__setattr__(self, "X", x)
-        object.__setattr__(self, "time", t)
-        object.__setattr__(self, "status", s)
+        events = np.flatnonzero(s)
+        for name, value in (
+                ("X", x), ("time", t), ("status", s),
+                ("time_order", np.argsort(-t, kind="stable")),
+                ("event_rows", events[np.argsort(t[events], kind="stable")]),
+                ("h1_weights", row_weights(self.h1, x)),
+                ("h2_weights", row_weights(self.h2, x))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_obs(self):
@@ -124,54 +170,107 @@ class SoftmaxRatioCheck(NamedTuple):
     ok: bool
 
 
-def _event_order(data):
-    """Event row indices in ascending (time, index) order."""
-    idx = np.flatnonzero(data.status)
-    return idx[np.lexsort((idx, data.time[idx]))]
+class _RiskPass(NamedTuple):
+    """One sweep over the sorted risk sets, in centred coordinates."""
+
+    xs: np.ndarray        # all rows, descending time, minus the centre
+    ends: np.ndarray      # risk-set size (sorted prefix length) per event
+    xbar: np.ndarray      # tilted risk-set mean per event, minus the centre
+    objective: float
+    score: np.ndarray
+    jacobian: Optional[np.ndarray]
 
 
-def _risk_terms(data, beta, event_index, h2):
-    """Tilted risk-set weights at the event's time.
+def _empty_risk_set(data, k):
+    return DegenerateRiskSetError(
+        f"risk set at event time {data.time[data.event_rows[k]]} carries no "
+        "positive weight")
 
-    Returns ``(active, v, logr)``: indices with positive mass, their softmax
-    weights, and ``log R_n``. Linear predictors are max-shifted before
-    exponentiation.
+
+def _risk_pass(data, beta, jacobian=False):
+    """Objective, score, tilted means and (optionally) Jacobian at ``beta``.
+
+    Events are taken in ``data.event_rows`` order. Raises
+    ``DegenerateRiskSetError`` if some event's risk set has no positive
+    ``H2`` weight.
     """
-    s = data.time[event_index]
-    at_risk = np.flatnonzero((data.time >= s) & (h2 > 0.0))
-    if at_risk.size == 0:
-        raise DegenerateRiskSetError(
-            f"risk set at event time {s} carries no positive weight")
-    g = data.X[at_risk] @ beta
-    shift = float(np.max(g))
-    w = h2[at_risk] * np.exp(g - shift)
-    total = float(np.sum(w))
-    return at_risk, w / total, shift + np.log(total)
+    order, events = data.time_order, data.event_rows
+    t_sorted = data.time[order]
+    ends = np.searchsorted(-t_sorted, -data.time[events], side="right")
+    m = int(ends[0])                      # rows ever at risk
+    xs = data.X[order]
+    centre = np.mean(xs[:m], axis=0)
+    xs -= centre
+    x, h2 = xs[:m], data.h2_weights[order[:m]]
+    eta = x @ beta
+
+    # shift blocks: a new block starts where the running max of eta over
+    # positive-weight rows exceeds the current base by the margin
+    top = np.maximum.accumulate(np.where(h2 > 0.0, eta, -np.inf))
+    if top[-1] == -np.inf:
+        raise _empty_risk_set(data, 0)
+    starts = [int(np.searchsorted(top, -np.inf, side="right"))]
+    while True:
+        nxt = int(np.searchsorted(top, top[starts[-1]] + _REBASE_MARGIN,
+                                  side="right"))
+        if nxt >= m:
+            break
+        starts.append(nxt)
+    bases = top[starts]
+    edges = np.array([0] + starts[1:] + [m])
+    base = np.repeat(bases, np.diff(edges))
+    r = h2 * np.exp(np.where(h2 > 0.0, eta - base, -np.inf))
+
+    # prefix sums of r and r x, each block in its own base's units
+    s0 = np.empty(m)
+    s1 = np.empty_like(x)
+    for b in range(len(starts)):
+        lo, hi = edges[b], edges[b + 1]
+        s0[lo:hi] = np.cumsum(r[lo:hi])
+        s1[lo:hi] = np.cumsum(r[lo:hi, None] * x[lo:hi], axis=0)
+        if b:
+            scale = np.exp(bases[b - 1] - bases[b])
+            s0[lo:hi] += s0[lo - 1] * scale
+            s1[lo:hi] += s1[lo - 1] * scale
+
+    last = ends - 1                       # sorted position closing each set
+    r0 = s0[last]
+    empty = np.flatnonzero(r0 <= 0.0)
+    if empty.size:
+        raise _empty_risk_set(data, empty[0])
+    h1 = data.h1_weights[events]
+    xbar = s1[last] / r0[:, None]
+    xe = data.X[events] - centre
+    objective = float(h1 @ (base[last] + np.log(r0) - xe @ beta))
+    score = h1 @ (xbar - xe)
+
+    jac = None
+    if jacobian:
+        # A_j: suffix sums over the events whose sets reach position j,
+        # carried right to left and rescaled into each block's units
+        g = np.bincount(last, weights=h1 / r0, minlength=m)
+        a = np.empty(m)
+        carry = 0.0
+        for b in range(len(starts) - 1, -1, -1):
+            lo, hi = edges[b], edges[b + 1]
+            a[lo:hi] = np.cumsum(g[lo:hi][::-1])[::-1] + carry
+            if b:
+                carry = a[lo] * np.exp(bases[b - 1] - bases[b])
+        jac = ((x * (r * a)[:, None]).T @ x
+               - (xbar * h1[:, None]).T @ xbar)
+    return _RiskPass(xs, ends, xbar, objective, score, jac)
 
 
 def cox_objective(data, beta):
     """Negative weighted log partial likelihood."""
     beta = as_parameter(beta, data.n_features, "beta")
-    h1 = row_weights(data.h1, data.X)
-    h2 = row_weights(data.h2, data.X)
-    total = 0.0
-    for i in _event_order(data):
-        _, _, logr = _risk_terms(data, beta, i, h2)
-        total += h1[i] * (logr - float(data.X[i] @ beta))
-    return total
+    return _risk_pass(data, beta).objective
 
 
 def cox_score(data, beta):
     """Score: sum over events of ``H1(X_i) (Xbar_{n,T_i} - X_i)``."""
     beta = as_parameter(beta, data.n_features, "beta")
-    h1 = row_weights(data.h1, data.X)
-    h2 = row_weights(data.h2, data.X)
-    out = np.zeros(data.n_features)
-    for i in _event_order(data):
-        active, v, _ = _risk_terms(data, beta, i, h2)
-        xbar = v @ data.X[active]
-        out += h1[i] * (xbar - data.X[i])
-    return out
+    return _risk_pass(data, beta).score
 
 
 def cox_jacobian(data, beta):
@@ -181,35 +280,37 @@ def cox_jacobian(data, beta):
     positive semidefinite for nonnegative ``H1``.
     """
     beta = as_parameter(beta, data.n_features, "beta")
-    h1 = row_weights(data.h1, data.X)
-    h2 = row_weights(data.h2, data.X)
-    out = np.zeros((data.n_features, data.n_features))
-    for i in _event_order(data):
-        active, v, _ = _risk_terms(data, beta, i, h2)
-        xa = data.X[active]
-        xbar = v @ xa
-        xc = xa - xbar
-        out += h1[i] * (xc.T @ (xc * v[:, None]))
-    return out
+    return _risk_pass(data, beta, jacobian=True).jacobian
 
 
 def mu_profile(data, beta0):
     """Covariate spread around the tilted risk-set means at each event time."""
     beta0 = as_parameter(beta0, data.n_features, "beta")
-    h2 = row_weights(data.h2, data.X)
-    events = _event_order(data)
-    times = data.time[events]
-    mu_risk = np.empty(events.size)
-    mu_all = np.empty(events.size)
-    for k, i in enumerate(events):
-        active, v, _ = _risk_terms(data, beta0, i, h2)
-        xbar = v @ data.X[active]
-        at_risk = data.time >= data.time[i]
-        dists = np.linalg.norm(data.X - xbar, axis=1)
-        mu_risk[k] = float(np.max(dists[at_risk]))
-        mu_all[k] = float(np.max(dists))
-    return MuProfile(event_times=times, mu_risk_set=mu_risk,
-                     mu_all_rows=mu_all,
+    rp = _risk_pass(data, beta0)
+    xs, xbar, ends = rp.xs, rp.xbar, rp.ends
+    n_obs, n_ev = xs.shape[0], xbar.shape[0]
+    sq = np.einsum("ij,ij->i", xs, xs)
+    col = np.arange(n_obs)
+    mu_risk = np.empty(n_ev)
+    mu_all = np.empty(n_ev)
+    step = max(1, _MU_CHUNK // n_obs)
+    for lo in range(0, n_ev, step):
+        hi = min(lo + step, n_ev)
+        xb = xbar[lo:hi]
+        # ||x_j - xbar||^2 up to a per-event constant: it only picks the
+        # farthest row, whose distance is recomputed without cancellation
+        d2 = xb @ xs.T
+        d2 *= -2.0
+        d2 += sq
+        far = np.argmax(d2, axis=1)
+        mu_all[lo:hi] = np.linalg.norm(xs[far] - xb, axis=1)
+        np.copyto(d2, -np.inf, where=col >= ends[lo:hi, None])
+        far = np.argmax(d2, axis=1)
+        mu_risk[lo:hi] = np.linalg.norm(xs[far] - xb, axis=1)
+    # every risk set is a subset of all rows: keep that order exact
+    mu_all = np.maximum(mu_all, mu_risk)
+    return MuProfile(event_times=data.time[data.event_rows],
+                     mu_risk_set=mu_risk, mu_all_rows=mu_all,
                      sup_risk_set=float(np.max(mu_risk)),
                      sup_all_rows=float(np.max(mu_all)))
 

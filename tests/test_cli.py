@@ -232,6 +232,25 @@ class TestCommands:
         assert run_cli(base + ["--target", "plug-in"], tmp_path)[1] == \
             run_cli(base, tmp_path)[1]
 
+    @pytest.mark.parametrize("command", ["fit", "loo"])
+    def test_target_rejected_where_unused(self, command, ols_csv, tmp_path):
+        base = [command, ols_csv, "--family", "squared"]
+        for value in ("zeros", "plug-in"):
+            code, payload = run_cli(base + ["--target", value], tmp_path)
+            assert code == 2
+            assert "--target" in json.loads(payload)["error"]
+        assert run_cli(base, tmp_path)[0] == 0
+
+    @pytest.mark.parametrize("command", ["fit", "loo", "posi", "cox-certify",
+                                         "nls-certify", "kkt"])
+    def test_q_ref_rejected_where_unused(self, command, ols_csv,
+                                         survival_csv, tmp_path):
+        qref = write(tmp_path, "q.csv", "1.0,0.0\n0.0,1.0\n")
+        data = survival_csv if command == "cox-certify" else ols_csv
+        code, payload = run_cli([command, data, "--q-ref", qref], tmp_path)
+        assert code == 2
+        assert "--q-ref" in json.loads(payload)["error"]
+
     def test_cox_certify_command(self, survival_csv, tmp_path):
         code, payload = run_cli(["cox-certify", survival_csv], tmp_path)
         assert code == 0
@@ -311,7 +330,7 @@ class TestDeterminism:
     def test_byte_identical_reruns(self, ols_csv, survival_csv, tmp_path):
         commands = [
             ["certify", ols_csv, "--family", "squared"],
-            ["fit", ols_csv, "--family", "poisson", "--target", "plug-in"],
+            ["fit", ols_csv, "--family", "poisson"],
             ["loo", ols_csv, "--family", "squared", "--exact"],
             ["screen", ols_csv, "--family", "squared"],
             ["cox-certify", survival_csv],

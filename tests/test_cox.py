@@ -1,12 +1,19 @@
+import dataclasses
+
+import cox_reference as ref
 import numpy as np
 import pytest
 from conftest import gen_survival_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mestcert import (ConvergenceError, DegenerateRiskSetError,
                       InvalidInputError, SingularMatrixError, SurvivalDataset,
                       certify_cox, cox, cox_jacobian, cox_objective, cox_score,
                       fd_jacobian, fit_cox, mu_profile, softmax_ratio_check)
 from mestcert.cox import COX_CONDITION_LIMIT, COX_EXPANSION_CONST
+
+EPS = np.finfo(float).eps
 
 
 def two_subject_data():
@@ -23,6 +30,26 @@ class TestDataValidation:
     def test_negative_times_rejected(self):
         with pytest.raises(InvalidInputError):
             SurvivalDataset(X=[[1.0]], time=[-1.0], status=[True])
+
+    def test_invalid_weight_rejected_at_construction(self):
+        with pytest.raises(InvalidInputError):
+            SurvivalDataset(X=[[1.0], [2.0]], time=[1.0, 2.0],
+                            status=[True, True], h2=lambda x: -1.0)
+
+    def test_weights_evaluated_once_per_row(self):
+        calls = []
+
+        def h2(row):
+            calls.append(1)
+            return 1.0
+
+        data = gen_survival_instance(30, 2, seed=213)
+        data = dataclasses.replace(data, h2=h2)
+        assert len(calls) == 30
+        root = fit_cox(data)
+        certify_cox(data, root)
+        assert len(calls) == 30
+        np.testing.assert_array_equal(data.h2_weights, np.ones(30))
 
 
 class TestScoreJacobian:
@@ -284,3 +311,177 @@ class TestFitCox:
                              status=[True, True, False])
         np.testing.assert_allclose(cox_score(d1, [0.4]), cox_score(d2, [0.4]),
                                    atol=1e-14)
+
+
+# ---------------------------------------------------------------------- #
+# agreement of the one-pass engine with the per-event reference
+# ---------------------------------------------------------------------- #
+
+def _event_scales(data, beta):
+    """Rounding-error scales over events, with ``c`` the mean of the rows
+    ever at risk: ``sum_i H1_i ||X_i - xbar_i||`` for the score,
+    ``sum_i H1_i ||X_i - c||`` for the rounding of the centred event rows
+    (the score's floor when a risk set holds a single weighted row) and
+    ``sum_i H1_i ||xbar_i - c||^2`` for the Jacobian."""
+    events = ref.event_order(data)
+    h1 = data.h1_weights[events]
+    xbar = ref.tilted_means(data, beta)
+    c = data.X[data.time >= data.time[events[0]]].mean(axis=0)
+    return (float(h1 @ np.linalg.norm(data.X[events] - xbar, axis=1)),
+            float(h1 @ np.linalg.norm(data.X[events] - c, axis=1)),
+            float(h1 @ np.sum((xbar - c) ** 2, axis=1)))
+
+
+def assert_agrees(engine_data, beta, reference_data=None):
+    """Engine on ``engine_data`` against the reference on
+    ``reference_data`` (default: the same data), within the documented
+    tolerances."""
+    data = engine_data if reference_data is None else reference_data
+    beta = np.asarray(beta, dtype=float)
+    score_scale, row_scale, jac_scale = _event_scales(data, beta)
+    weight = float(np.sum(data.h1_weights[data.status]))
+
+    obj = ref.objective(data, beta)
+    assert abs(cox_objective(engine_data, beta) - obj) <= \
+        1e-11 * max(abs(obj), weight)
+    score = ref.score(data, beta)
+    assert np.linalg.norm(cox_score(engine_data, beta) - score) <= \
+        1e-11 * score_scale + 16 * EPS * row_scale
+    jac = ref.jacobian(data, beta)
+    assert np.linalg.norm(cox_jacobian(engine_data, beta) - jac) <= \
+        1e-11 * np.linalg.norm(jac) + 1e-12 * jac_scale
+    prof = mu_profile(engine_data, beta)
+    mu_risk, mu_all = ref.mu_profile(data, beta)
+    floor = 1e-15 * mu_all.max()
+    np.testing.assert_allclose(prof.mu_risk_set, mu_risk, rtol=1e-13,
+                               atol=floor)
+    np.testing.assert_allclose(prof.mu_all_rows, mu_all, rtol=1e-13,
+                               atol=floor)
+    np.testing.assert_array_equal(prof.event_times,
+                                  data.time[ref.event_order(data)])
+
+
+def _h1(row):
+    return 1.0 + row[0] ** 2
+
+
+def _h2_with_zeros(row):
+    return 0.0 if row[-1] > 0.8 else 1.0 + 0.5 * np.tanh(row[0])
+
+
+def _spread_instance(sign, n=80, seed=220):
+    """eta = 400 x_1 spans 800 units, x_1 monotone in time (increasing for
+    ``sign=1``, decreasing for ``sign=-1``)."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.exponential(size=n))
+    x = np.column_stack([sign * np.linspace(-1.0, 1.0, n)
+                         + 0.01 * rng.normal(size=n), rng.normal(size=n)])
+    return (SurvivalDataset(X=x, time=t, status=rng.uniform(size=n) < 0.8),
+            np.array([400.0, 0.3]))
+
+
+class TestEngineMatchesReference:
+    @pytest.mark.parametrize("seed", [230, 231, 232])
+    def test_seeded_variants(self, seed):
+        rng = np.random.default_rng(seed)
+        base = gen_survival_instance(60, 3, seed=seed)
+        tied = np.round(base.time * 3.0) / 3.0
+        variants = [
+            base,
+            SurvivalDataset(X=base.X, time=tied, status=base.status),
+            SurvivalDataset(X=base.X, time=base.time, status=base.status,
+                            h1=_h1),
+            SurvivalDataset(X=base.X, time=tied, status=base.status,
+                            h1=_h1, h2=_h2_with_zeros),
+        ]
+        for data in variants:
+            for scale in (0.0, 0.5, 2.0):
+                assert_agrees(data, rng.normal(size=3) * scale)
+
+    def test_covariate_offset(self):
+        # X on a 2^-30 grid makes X + 1e3 exact, so both datasets are the
+        # same instance translated; the reference is run on the untranslated
+        # copy because its own uncentred sums lose eps * 1e3 in the means
+        rng = np.random.default_rng(233)
+        for seed in (234, 235):
+            base = gen_survival_instance(60, 3, seed=seed)
+            x = np.round(base.X * 2.0 ** 30) / 2.0 ** 30
+            near = SurvivalDataset(X=x, time=base.time, status=base.status)
+            far = SurvivalDataset(X=x + 1e3, time=base.time,
+                                  status=base.status)
+            assert_agrees(far, rng.normal(size=3), reference_data=near)
+
+    def test_near_identical_rows(self):
+        # the instance of test_near_identical_covariates_tiny_bound; x - 0.7
+        # is exact (Sterbenz), so the reference runs on the centred copy
+        rng = np.random.default_rng(207)
+        x = 0.7 + 1e-4 * rng.normal(size=(20, 1))
+        t = rng.exponential(size=20)
+        events = np.ones(20, dtype=bool)
+        data = SurvivalDataset(X=x, time=t, status=events)
+        centred = SurvivalDataset(X=x - 0.7, time=t, status=events)
+        for beta in ([0.0], [0.3], [50.0]):
+            assert_agrees(data, beta, reference_data=centred)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_eta_spread_800(self, sign):
+        data, beta = _spread_instance(sign)
+        eta = data.X @ beta
+        assert np.ptp(eta) >= 790.0
+        # at this spread the tilt concentrates on single rows: the Jacobian
+        # is held to the documented limit eps-scale * sum H1 ||xbar - c||^2
+        # alone, objective and score to the usual tolerances
+        jac_scale = _event_scales(data, beta)[2]
+        jac = ref.jacobian(data, beta)
+        assert np.linalg.norm(cox_jacobian(data, beta) - jac) <= \
+            1e-12 * jac_scale
+        assert_agrees(data, beta)
+
+    def test_rows_sharing_a_time_share_the_risk_set(self):
+        data = SurvivalDataset(X=[[1.0], [2.0], [3.0], [0.5]],
+                               time=[1.0, 1.0, 1.0, 0.5],
+                               status=[True, False, True, True])
+        prof = mu_profile(data, [0.2])
+        assert_agrees(data, [0.2])
+        np.testing.assert_array_equal(prof.event_times, [0.5, 1.0, 1.0])
+
+
+@st.composite
+def survival_cases(draw):
+    """Small instances with ties, censoring, H1 weights and rows of zero
+    H2 weight, plus a coefficient vector."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, n))
+    censored = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    zero_h2 = draw(st.sampled_from([0.0, 0.3]))
+    weighted = draw(st.booleans())
+    scale = draw(st.sampled_from([0.0, 0.3, 1.0, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=(n, p))
+    time = rng.integers(0, levels, size=n).astype(float)
+    status = rng.uniform(size=n) >= censored
+    status[rng.integers(n)] = True
+    cut = np.quantile(x[:, -1], 1.0 - zero_h2) if zero_h2 else np.inf
+
+    def h2(row):
+        return 0.0 if row[-1] > cut else 1.0 + 0.5 * np.tanh(row[0])
+
+    data = SurvivalDataset(X=x, time=time, status=status,
+                           h1=_h1 if weighted else None,
+                           h2=h2 if zero_h2 else None)
+    return data, rng.normal(size=p) * scale
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(survival_cases())
+def test_engine_matches_reference_property(case):
+    data, beta = case
+    try:
+        ref.objective(data, beta)
+    except DegenerateRiskSetError:
+        for fn in (cox_objective, cox_score, cox_jacobian, mu_profile):
+            with pytest.raises(DegenerateRiskSetError):
+                fn(data, beta)
+        return
+    assert_agrees(data, beta)
