@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numkit import (as_matrix, as_vector, op_norm, solve_linear,
-                     solve_linear_many)
+from .numkit import (_refined_solve, as_matrix, as_vector, lu_factorization,
+                     op_norm, solve_linear)
 
 #: slack applied to the center self-check of a contraction certificate
 _CENTER_CHECK_RTOL = 1e-12
@@ -114,7 +114,8 @@ def contraction_certificate(f, jac, a_matrix, theta0, radius, variation_bound):
         raise InvalidInputError(
             f"variation bound must be finite and nonnegative, got {eps}")
 
-    step = solve_linear(a, np.asarray(f(theta0), dtype=float))
+    a_solve = lu_factorization(a)
+    step = _refined_solve(a, a_solve, np.asarray(f(theta0), dtype=float))
     step_norm = float(np.linalg.norm(step))
 
     def reject(reason):
@@ -127,7 +128,7 @@ def contraction_certificate(f, jac, a_matrix, theta0, radius, variation_bound):
         return reject(f"contraction constant {eps:.6g} exceeds 1")
     if jac is not None:
         j0 = as_matrix(np.asarray(jac(theta0), dtype=float), "jac(theta0)")
-        center_var = op_norm(np.eye(a.shape[0]) - solve_linear_many(a, j0))
+        center_var = op_norm(np.eye(a.shape[0]) - a_solve(j0))
         if center_var > eps * (1.0 + _CENTER_CHECK_RTOL) + _CENTER_CHECK_RTOL:
             return reject(
                 f"variation bound {eps:.6g} is already violated at the "

@@ -23,7 +23,8 @@ rerun on identical inputs is byte-identical and parsing recovers the exact
 doubles. Non-finite values (e.g. an uncertified infinite envelope) are
 emitted as ``null``. Exit status is 0 for any completed run, including
 certificates whose condition failed, and 2 for hard errors, which are
-reported as ``{"error": ...}``.
+reported as ``{"error": ...}``; an option the subcommand does not read is
+such an error, not a silent no-op.
 """
 
 import argparse
@@ -354,6 +355,9 @@ def _cmd_screen(args):
 
 
 def _cmd_posi(args):
+    if args.target != "plug-in":
+        raise MestcertError("posi certifies each submodel at its plug-in "
+                            "root; --target must be 'plug-in'")
     family = _build_family(args)
     data = _require_dataset(read_csv(args.data), "posi")
     if not args.models:
@@ -466,6 +470,25 @@ _COMMANDS = {
     "kkt": _cmd_kkt,
 }
 
+_GLM_OPTIONS = ("family", "family_alpha")
+#: the options each subcommand reads besides the data file and --out;
+#: setting any other option is an error, not a silent no-op (screen and
+#: posi fit at a fixed tolerance, so they take no --tol)
+_OPTIONS = {
+    "fit": _GLM_OPTIONS + ("tol",),
+    "certify": _GLM_OPTIONS + ("target", "q_ref", "tol"),
+    "loo": _GLM_OPTIONS + ("tol", "subsets", "exact"),
+    "screen": _GLM_OPTIONS + ("target", "q_ref"),
+    "posi": _GLM_OPTIONS + ("target", "models", "exact"),
+    "cox-certify": ("target", "tol"),
+    "nls-certify": ("target", "tol", "link"),
+    "kkt": _GLM_OPTIONS + ("target", "tol", "constraints"),
+}
+#: values of unset options; the parser leaves them None so that run() can
+#: tell an explicit setting from a default
+_DEFAULTS = {"family": "squared", "tol": 1e-10, "exact": False,
+             "link": "logistic"}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -475,7 +498,8 @@ def build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("data", help="input CSV (header row, 'y' column)")
-        p.add_argument("--family", choices=_FAMILIES, default="squared")
+        p.add_argument("--family", choices=_FAMILIES,
+                       help="loss family (default: squared)")
         p.add_argument("--family-alpha", type=float, default=None,
                        help="overdispersion parameter for negbinomial")
         p.add_argument("--target", default=None,
@@ -483,17 +507,18 @@ def build_parser():
                             "(default depends on the command)")
         p.add_argument("--q-ref", default=None,
                        help="reference Hessian as headerless CSV")
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--tol", type=float,
+                       help="root tolerance of the fits (default: 1e-10)")
         p.add_argument("--subsets", action="append", default=None,
                        help="1-based row set like '1,4-7'; repeatable "
                             "(loo; default: all singletons)")
         p.add_argument("--models", default=None,
                        help="file with one comma-separated 1-based column "
                             "set per line (posi)")
-        p.add_argument("--exact", action="store_true",
+        p.add_argument("--exact", action="store_true", default=None,
                        help="also run exact refit oracles")
         p.add_argument("--link", choices=("logistic", "identity"),
-                       default="logistic", help="link for nls-certify")
+                       help="link for nls-certify (default: logistic)")
         p.add_argument("--constraints", default=None,
                        help="headerless CSV of constraint rows a_1..a_p,b (kkt)")
         p.add_argument("--out", default=None,
@@ -503,20 +528,24 @@ def build_parser():
 
 def run(args):
     """Execute a parsed command; returns (exit_code, json_text)."""
-    if args.command == "posi" and args.target not in (None, "plug-in"):
-        raise MestcertError("posi certifies each submodel at its plug-in "
-                            "root; --target must be 'plug-in'")
-    if args.target is not None and args.command in ("fit", "loo"):
-        raise MestcertError(f"{args.command} works at its own fitted root; "
-                            "--target is not accepted")
-    if args.q_ref is not None and args.command not in ("certify", "screen"):
-        raise MestcertError(f"{args.command} has no reference Hessian; "
-                            "--q-ref is accepted only by certify and screen")
+    reads = _OPTIONS[args.command] + ("out",)
+    for dest, value in vars(args).items():
+        if value is not None and dest not in reads + ("command", "data"):
+            raise MestcertError(
+                f"{args.command} does not read {_flag(dest)}; its options "
+                f"are {', '.join(map(_flag, reads))}")
+    for dest, value in _DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
     if args.target is None:
         args.target = ("plug-in" if args.command in ("screen", "posi", "kkt")
                        else "zeros")
     report = _COMMANDS[args.command](args)
     return 0, dump_json(report)
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
 
 
 def main(argv=None):

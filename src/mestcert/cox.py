@@ -91,7 +91,9 @@ class SurvivalDataset:
     reuses: ``time_order`` (rows by descending time, ties in index order),
     ``event_rows`` (event rows in ascending (time, index) order) and the
     per-row weights ``h1_weights``/``h2_weights``, one callback call per
-    row. Treat the arrays as read-only.
+    row. All these arrays are read-only; ``X``, ``time`` and ``status`` are
+    views of the arrays passed in (not copies: do not modify those
+    afterwards).
     """
 
     X: np.ndarray
@@ -121,6 +123,8 @@ class SurvivalDataset:
                 ("event_rows", events[np.argsort(t[events], kind="stable")]),
                 ("h1_weights", row_weights(self.h1, x)),
                 ("h2_weights", row_weights(self.h2, x))):
+            value = value.view()
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property
@@ -130,6 +134,11 @@ class SurvivalDataset:
     @property
     def n_features(self):
         return self.X.shape[1]
+
+    def __reduce__(self):
+        # copies and pickles rebuild, so their arrays are read-only too
+        return SurvivalDataset, (self.X, self.time, self.status, self.h1,
+                                 self.h2)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,9 @@ CONDITION_LIMIT = 4.0 / 3.0
 class Dataset:
     """Immutable regression data: design matrix ``X (n, p)`` and response
     ``y (n,)`` with finite entries. Intercepts are not implicit; append a
-    ones column if one is wanted."""
+    ones column if one is wanted. ``X`` and ``y`` are read-only views of
+    the arrays passed in (not copies: do not modify those afterwards). Row
+    weights are evaluated once per dataset and weight function."""
 
     X: np.ndarray
     y: np.ndarray
@@ -47,8 +49,10 @@ class Dataset:
         if x.shape[0] != y.shape[0]:
             raise InvalidInputError(
                 f"X has {x.shape[0]} rows but y has length {y.shape[0]}")
-        object.__setattr__(self, "X", x)
-        object.__setattr__(self, "y", y)
+        for name, value in (("X", x.view()), ("y", y.view())):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_weight_memo", {})
 
     @property
     def n_obs(self):
@@ -57,6 +61,10 @@ class Dataset:
     @property
     def n_features(self):
         return self.X.shape[1]
+
+    def __reduce__(self):
+        # copies and pickles rebuild: read-only views, an empty weight memo
+        return Dataset, (self.X, self.y)
 
     def subset_rows(self, keep):
         return Dataset(self.X[keep], self.y[keep])
@@ -88,37 +96,37 @@ class GlmCertificate:
     reference_mismatch: Optional[float] = None
 
 
+def _row_terms(data, family, theta, order):
+    """``h(X_i) l^(order)(X_i @ theta, y_i)`` per row (order 0, 1 or 2), with
+    ``theta`` validated and ``h`` evaluated once per dataset and weight."""
+    theta = as_parameter(theta, data.n_features)
+    memo, fn = data._weight_memo, family.weight
+    if id(fn) not in memo:  # the entry keeps fn, so its id stays unique
+        memo[id(fn)] = (fn, family.row_weights(data.X))
+    evaluate = (family.eval0, family.eval1, family.eval2)[order]
+    return memo[id(fn)][1] * np.asarray(evaluate(data.X @ theta, data.y),
+                                        dtype=float)
+
+
 def objective(data, family, theta):
     """Average weighted loss at ``theta``."""
-    theta = as_parameter(theta, data.n_features)
-    u = data.X @ theta
-    w = family.row_weights(data.X)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = w * np.asarray(family.eval0(u, data.y), dtype=float)
-        return float(np.mean(vals))
+        return float(np.mean(_row_terms(data, family, theta, 0)))
 
 
 def score(data, family, theta):
     """Gradient ``(1/n) sum_i l'(X_i @ theta, y_i) h(X_i) X_i``."""
-    theta = as_parameter(theta, data.n_features)
-    u = data.X @ theta
-    w = family.row_weights(data.X)
-    g = w * np.asarray(family.eval1(u, data.y), dtype=float)
-    return data.X.T @ g / data.n_obs
+    return data.X.T @ _row_terms(data, family, theta, 1) / data.n_obs
 
 
 def hessian(data, family, theta):
     """Hessian ``(1/n) sum_i l''(X_i @ theta, y_i) h(X_i) X_i X_i^T``."""
-    theta = as_parameter(theta, data.n_features)
-    u = data.X @ theta
-    w = family.row_weights(data.X)
-    c = w * np.asarray(family.eval2(u, data.y), dtype=float)
+    c = _row_terms(data, family, theta, 2)
     return data.X.T @ (data.X * c[:, None]) / data.n_obs
 
 
 def delta(data, family, theta0):
     """Certified radius ``1.5 ||Qhat(theta0)^-1 Zhat(theta0)||_2``."""
-    theta0 = as_parameter(theta0, data.n_features)
     return 1.5 * float(np.linalg.norm(
         solve_linear(hessian(data, family, theta0), score(data, family, theta0))))
 
@@ -142,10 +150,7 @@ def fit(data, family, init=None, tol=1e-10, max_iter=100):
         try:
             return -solve_linear(hessian(data, family, theta), z)
         except SingularMatrixError:
-            u = data.X @ theta
-            w = family.row_weights(data.X)
-            c = np.asarray(family.eval2(u, data.y), dtype=float) * w
-            if float(np.max(np.abs(c))) == 0.0:
+            if not np.any(_row_terms(data, family, theta, 2)):
                 # the curvature underflowed to zero everywhere: the "root"
                 # is float saturation of a score whose true root sits at
                 # infinity (e.g. separable classification data)
@@ -235,14 +240,10 @@ def hessian_holder_constant(data, family, theta0, max_growth=200):
     to ``L = 0``. A singular ``Qhat(theta0)`` raises
     :class:`~mestcert.errors.SingularMatrixError`.
     """
-    theta0 = as_parameter(theta0, data.n_features)
-    u0 = data.X @ theta0
-    w = family.row_weights(data.X)
-    d2 = w * np.asarray(family.eval2(u0, data.y), dtype=float)
+    d2 = _row_terms(data, family, theta0, 2)
     row_norms = np.linalg.norm(data.X, axis=1)
     base = d2 * row_norms ** 2 / data.n_obs
-    # Qhat(theta0), as hessian() forms it, from the curvature at hand
-    qhat = data.X.T @ (data.X * d2[:, None]) / data.n_obs
+    qhat = hessian(data, family, theta0)
     hinv_norm = op_norm(lu_factorization(qhat)(np.eye(data.n_features)))
 
     def l_at(radius):

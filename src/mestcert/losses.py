@@ -56,7 +56,10 @@ class LossFamily:
         ``u >= 0 -> ratio bound >= 1``; nondecreasing with ``cbound(0) = 1``.
     weight : callable or None
         Per-row weight ``h(x) >= 0`` taking the covariate row; ``None``
-        means unit weights.
+        means unit weights. The GLM functions evaluate it once per row of a
+        dataset and keep the weights with the dataset for every later call
+        with the same weight function, so it must be a pure function of the
+        row.
     params : dict
         Extra shape parameters (``alpha`` for negative binomial).
     """

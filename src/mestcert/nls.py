@@ -42,8 +42,8 @@ from typing import Callable
 import numpy as np
 
 from .losses import sigmoid
-from .numkit import (as_parameter, damped_newton, lu_factorization, op_norm,
-                     solve_linear)
+from .numkit import (_refined_solve, as_parameter, damped_newton,
+                     lu_factorization, op_norm, solve_linear)
 
 #: exact sup of |sigma''| over the reals, nudged up for float safety
 SIGMOID_D2_SUP = math.nextafter(math.sqrt(3.0) / 18.0, math.inf)
@@ -168,11 +168,12 @@ def nls_constants(data, link, theta0):
     certificates; requires the Hessian at the target to be invertible.
     """
     theta0 = as_parameter(theta0, data.n_features)
-    return _nls_constants(data, link, theta0, nls_hess(data, link, theta0))
+    return _nls_constants(data, link, theta0,
+                          lu_factorization(nls_hess(data, link, theta0)))
 
 
-def _nls_constants(data, link, theta0, h0):
-    """:func:`nls_constants` given the Hessian ``h0`` at the target."""
+def _nls_constants(data, link, theta0, hsolve):
+    """:func:`nls_constants` given the factored Hessian at the target."""
     u = data.X @ theta0
     r = data.y - np.asarray(link.g(u), dtype=float)
     gp_abs = np.abs(np.asarray(link.g1(u), dtype=float))
@@ -180,8 +181,6 @@ def _nls_constants(data, link, theta0, h0):
     c0 = np.asarray([float(link.c0(row)) for row in data.X])
     c1 = np.asarray([float(link.c1(row)) for row in data.X])
     c2 = np.asarray([float(link.c2(row)) for row in data.X])
-
-    hsolve = lu_factorization(h0)
 
     def norm_of(coefs):
         if not np.any(coefs):
@@ -217,10 +216,11 @@ def certify_nls(data, link, theta0):
     theta0 = as_parameter(theta0, data.n_features)
     grad = nls_grad(data, link, theta0)
     h0 = nls_hess(data, link, theta0)
-    step = -solve_linear(h0, grad)
+    hsolve = lu_factorization(h0)
+    step = -_refined_solve(h0, hsolve, grad)
     dlt = 1.5 * float(np.linalg.norm(step))
 
-    consts = _nls_constants(data, link, theta0, h0)
+    consts = _nls_constants(data, link, theta0, hsolve)
     alpha = float(link.alpha)
     exponents = (2.0, 1.0 + alpha, 1.0, alpha)
     ok = True

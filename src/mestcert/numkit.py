@@ -124,14 +124,7 @@ def solve_linear(a, b):
         If the smallest pivot of the factorization falls below
         ``1e-12 * max|a_ij|``. The error carries that pivot magnitude.
     """
-    a, solve = _factor(a)
-    x = as_vector(b, "right-hand side")
-    sol = solve(x)
-    resid = x - a @ sol
-    rnorm = float(np.linalg.norm(resid))
-    if rnorm > SOLVE_RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(x))):
-        sol = sol + solve(resid)
-    return sol
+    return _refined_solve(*_factor(a), b)
 
 
 def solve_linear_many(a, b):
@@ -147,6 +140,20 @@ def lu_factorization(a):
     Raises :class:`SingularMatrixError` like :func:`solve_linear`.
     """
     return _factor(a)[1]
+
+
+def _refined_solve(a, solve, b):
+    """:func:`solve_linear` over an existing factorization: ``solve`` solves
+    with the validated square matrix ``a`` (as :func:`lu_factorization`
+    returns it); one refinement step when the residual misses the
+    contract."""
+    x = as_vector(b, "right-hand side")
+    sol = solve(x)
+    resid = x - a @ sol
+    rnorm = float(np.linalg.norm(resid))
+    if rnorm > SOLVE_RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(x))):
+        sol = sol + solve(resid)
+    return sol
 
 
 def _factor(a):

@@ -127,11 +127,9 @@ class _DeletionContext:
         self.family = family
         self.theta_hat = theta_hat
         self.n = data.n_obs
-        u = data.X @ theta_hat
-        w = family.row_weights(data.X)
-        self.grad_rows = data.X * (w * np.asarray(family.eval1(u, data.y),
-                                                  dtype=float))[:, None]
-        self.curv_rows = w * np.asarray(family.eval2(u, data.y), dtype=float)
+        self.grad_rows = data.X * glm._row_terms(data, family, theta_hat,
+                                                 1)[:, None]
+        self.curv_rows = glm._row_terms(data, family, theta_hat, 2)
         self.row_norms = np.linalg.norm(data.X, axis=1)
         self.qhat_solve = lu_factorization(glm.hessian(data, family, theta_hat))
 

@@ -5,12 +5,27 @@ pools, so draws must be reproducible run to run.
 """
 
 import numpy as np
+import pytest
 
-from mestcert import Dataset, SurvivalDataset, make_family
+from mestcert import Dataset, SurvivalDataset, make_family, numkit
 
 
 def _expit(u):
     return 1.0 / (1.0 + np.exp(-u))
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """A list that grows by one on every call of the package's LU core."""
+    calls = []
+    factor = numkit._factor
+
+    def counted(a):
+        calls.append(1)
+        return factor(a)
+
+    monkeypatch.setattr(numkit, "_factor", counted)
+    return calls
 
 
 def gen_glm_instance(kind, n, p, seed, x_scale=None, alpha=1.0):

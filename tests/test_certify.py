@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mestcert import (InvalidInputError, SingularMatrixError,
-                      contraction_certificate, newton_step_certificate)
+                      contraction_certificate, newton_step_certificate,
+                      solve_linear)
 
 
 def bisect_root(f, lo, hi, tol=1e-14):
@@ -22,6 +23,21 @@ def bisect_root(f, lo, hi, tol=1e-14):
 
 
 class TestContraction:
+    def test_factors_a_once(self, factor_calls):
+        # the step and the center check of the bound share one factorization
+        f = lambda t: np.array([np.sin(t[0]) + t[1], t[1] ** 3 + 2.0 * t[0]])
+        jac = lambda t: np.array([[np.cos(t[0]), 1.0],
+                                  [2.0, 3.0 * t[1] ** 2]])
+        theta0 = np.array([0.3, -0.2])
+        a = jac(theta0)
+        step_norm = float(np.linalg.norm(solve_linear(a, f(theta0))))
+        del factor_calls[:]
+        cert = contraction_certificate(f, jac, a, theta0, radius=1.0,
+                                       variation_bound=lambda r: 0.5)
+        assert cert.valid
+        assert len(factor_calls) == 1
+        assert cert.step_norm == step_norm
+
     def test_linear_map_exact_bracket(self):
         theta0 = np.array([0.3, 0.4])
         cert = contraction_certificate(

@@ -33,6 +33,31 @@ def survival_csv(tmp_path):
     return write(tmp_path, "surv.csv", "\n".join(rows) + "\n")
 
 
+#: a value for every option that some subcommand does not read
+_OPTION_VALUES = {
+    "--family": ["poisson"], "--family-alpha": ["3"], "--target": ["zeros"],
+    "--q-ref": ["q.csv"], "--tol": ["1e-3"], "--subsets": ["1"],
+    "--models": ["models.csv"], "--exact": [], "--link": ["identity"],
+    "--constraints": ["cons.csv"],
+}
+#: the options each subcommand reads (besides the data file and --out)
+_READS = {
+    "fit": {"--family", "--family-alpha", "--tol"},
+    "certify": {"--family", "--family-alpha", "--target", "--q-ref",
+                "--tol"},
+    "loo": {"--family", "--family-alpha", "--tol", "--subsets", "--exact"},
+    "screen": {"--family", "--family-alpha", "--target", "--q-ref"},
+    "posi": {"--family", "--family-alpha", "--target", "--models",
+             "--exact"},
+    "cox-certify": {"--target", "--tol"},
+    "nls-certify": {"--target", "--tol", "--link"},
+    "kkt": {"--family", "--family-alpha", "--target", "--tol",
+            "--constraints"},
+}
+_UNREAD = [(command, option) for command, reads in _READS.items()
+           for option in _OPTION_VALUES if option not in reads]
+
+
 def run_cli(args, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(list(args) + ["--out", str(out)])
@@ -250,6 +275,29 @@ class TestCommands:
         code, payload = run_cli([command, data, "--q-ref", qref], tmp_path)
         assert code == 2
         assert "--q-ref" in json.loads(payload)["error"]
+
+    @pytest.mark.parametrize("command,option", _UNREAD)
+    def test_option_rejected_where_unread(self, command, option, ols_csv,
+                                          survival_csv, tmp_path):
+        data = survival_csv if command == "cox-certify" else ols_csv
+        argv = [command, data, option] + [
+            write(tmp_path, value, "1.0,0.0\n") if value.endswith(".csv")
+            else value for value in _OPTION_VALUES[option]]
+        code, payload = run_cli(argv, tmp_path)
+        assert code == 2
+        assert f"{command} does not read {option};" in \
+            json.loads(payload)["error"]
+
+    def test_unset_options_take_their_defaults(self, ols_csv, tmp_path):
+        for unset, explicit in (
+                (["certify", ols_csv], ["--family", "squared", "--tol",
+                                        "1e-10"]),
+                (["fit", ols_csv], ["--family", "squared", "--tol", "1e-10"]),
+                (["loo", ols_csv], ["--family", "squared"]),
+                (["nls-certify", ols_csv, "--target", "plug-in"],
+                 ["--link", "logistic", "--tol", "1e-10"])):
+            assert run_cli(unset, tmp_path, "a.json") == \
+                run_cli(unset + explicit, tmp_path, "b.json")
 
     def test_cox_certify_command(self, survival_csv, tmp_path):
         code, payload = run_cli(["cox-certify", survival_csv], tmp_path)

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import cox_reference as ref
 import numpy as np
@@ -50,6 +51,17 @@ class TestDataValidation:
         certify_cox(data, root)
         assert len(calls) == 30
         np.testing.assert_array_equal(data.h2_weights, np.ones(30))
+
+    def test_arrays_are_read_only(self):
+        # time_order and the weights are derived from these at construction
+        data = gen_survival_instance(10, 2, seed=214)
+        for copy in (data, pickle.loads(pickle.dumps(data))):
+            with pytest.raises(ValueError):
+                copy.X[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                copy.time[0] = 1.0
+            with pytest.raises(ValueError):
+                copy.status[0] = False
 
 
 class TestScoreJacobian:

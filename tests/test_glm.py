@@ -1,13 +1,19 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from conftest import gen_glm_instance
 
 from mestcert import (ConvergenceError, Dataset, InvalidInputError,
                       SingularMatrixError, certify, delta, fd_jacobian, fit,
-                      hessian, hessian_holder_constant, make_family, op_norm,
-                      score)
+                      hessian, hessian_holder_constant, loo_sweep,
+                      make_family, op_norm, score)
 from mestcert import glm
+from mestcert.cli import dump_json
 from mestcert.glm import objective
+from mestcert.numkit import row_weights
 
 SQ = make_family("squared")
 
@@ -349,3 +355,100 @@ class TestHolderConstant:
         for family in (fam, SQ):
             with pytest.raises(SingularMatrixError):
                 hessian_holder_constant(dup, family, np.zeros(3))
+
+
+def _weight(row):
+    return 1.0 / (1.0 + float(row @ row))
+
+
+def _fresh_row_terms(data, family, theta, order):
+    # the kernel without its memo: weights recomputed on every call
+    w = row_weights(family.weight, np.asarray(data.X, dtype=float))
+    evaluate = (family.eval0, family.eval1, family.eval2)[order]
+    return w * np.asarray(evaluate(data.X @ theta, data.y), dtype=float)
+
+
+class TestWeightsOnce:
+    def test_callback_runs_once_per_row(self):
+        calls = []
+
+        def counted(row):
+            calls.append(1)
+            return _weight(row)
+
+        data, fam = gen_glm_instance("logistic", 60, 3, seed=6600)
+        fam = dataclasses.replace(fam, weight=counted)
+        theta = fit(data, fam, tol=1e-12)
+        loo_sweep(data, fam, theta)
+        certify(data, fam, theta)
+        # another family with the same weight function shares the weights
+        certify(data, make_family("poisson", weight=counted), theta)
+        assert len(calls) == data.n_obs
+
+    @pytest.mark.parametrize("kind", ["squared", "logistic", "poisson",
+                                      "negbinomial"])
+    def test_matches_fresh_weights_bitwise(self, kind, monkeypatch):
+        data, fam = gen_glm_instance(kind, 50, 3, seed=6610)
+        fam = dataclasses.replace(fam, weight=_weight)
+        theta = fit(data, fam, tol=1e-12)
+        x, y, n = data.X, data.y, data.n_obs
+        w = row_weights(_weight, np.asarray(x, dtype=float))
+        u = x @ theta
+        assert objective(data, fam, theta) == float(np.mean(
+            w * np.asarray(fam.eval0(u, y), dtype=float)))
+        assert score(data, fam, theta).tobytes() == (
+            x.T @ (w * np.asarray(fam.eval1(u, y), dtype=float)) / n).tobytes()
+        c = w * np.asarray(fam.eval2(u, y), dtype=float)
+        assert hessian(data, fam, theta).tobytes() == (
+            x.T @ (x * c[:, None]) / n).tobytes()
+
+        def reports():
+            return dump_json([objective(data, fam, theta),
+                              score(data, fam, theta),
+                              hessian(data, fam, theta),
+                              certify(data, fam, theta + 0.01),
+                              hessian_holder_constant(data, fam, theta),
+                              loo_sweep(data, fam, theta).entries])
+
+        memoised = reports()
+        monkeypatch.setattr(glm, "_row_terms", _fresh_row_terms)
+        assert reports() == memoised
+        # unit weights on the same dataset are a separate memo entry
+        monkeypatch.undo()
+        unit = dataclasses.replace(fam, weight=None)
+        assert score(data, unit, theta).tobytes() == (
+            x.T @ np.asarray(fam.eval1(u, y), dtype=float) / n).tobytes()
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_rebuild(self, clone):
+        # the memo's keys are ids of live objects, so no copy may inherit it
+        data, fam = gen_glm_instance("poisson", 20, 2, seed=6615)
+        fam = dataclasses.replace(fam, weight=_weight)
+        theta = np.array([0.2, -0.1])
+        expected = score(data, fam, theta)
+        twin = clone(data)
+        assert twin._weight_memo == {}
+        assert not twin.X.flags.writeable and not twin.y.flags.writeable
+        assert score(twin, fam, theta).tobytes() == expected.tobytes()
+
+    def test_arrays_are_read_only(self):
+        data, _ = gen_glm_instance("squared", 10, 2, seed=6620)
+        with pytest.raises(ValueError):
+            data.X[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            data.y[0] = 1.0
+
+    def test_subset_columns_gets_fresh_weights(self):
+        # the weight reads the whole row, so a column subset changes it
+        data, fam = gen_glm_instance("poisson", 40, 3, seed=6630)
+        fam = dataclasses.replace(fam, weight=_weight)
+        theta = np.array([0.1, -0.2, 0.3])
+        score(data, fam, theta)
+        sub = data.subset_columns([0, 2])
+        w = row_weights(_weight, np.asarray(sub.X, dtype=float))
+        u = sub.X @ theta[[0, 2]]
+        expected = sub.X.T @ (w * np.asarray(fam.eval1(u, sub.y),
+                                             dtype=float)) / sub.n_obs
+        assert score(sub, fam, theta[[0, 2]]).tobytes() == expected.tobytes()

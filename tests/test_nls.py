@@ -7,6 +7,7 @@ from mestcert import (ConvergenceError, Dataset, LinkSpec, certify_nls,
                       nls_objective, op_norm, variation_modulus)
 from mestcert import certify as glm_certify
 from mestcert.nls import SIGMOID_D2_SUP, SIGMOID_D3_SUP
+from mestcert.numkit import solve_linear
 
 LINK = logistic_link()
 
@@ -145,6 +146,20 @@ class TestConstants:
 
 
 class TestCertify:
+    def test_factors_hessian_once(self, factor_calls):
+        # the step and the constants share one factorization, with the
+        # same bits as solving and factoring separately
+        data = gen_nls_instance(50, 3, seed=415)
+        theta0 = np.array([0.2, -0.1, 0.4])
+        step = -solve_linear(nls_hess(data, LINK, theta0),
+                             nls_grad(data, LINK, theta0))
+        consts = nls_constants(data, LINK, theta0)
+        del factor_calls[:]
+        cert = certify_nls(data, LINK, theta0)
+        assert len(factor_calls) == 1
+        assert cert.newton_step.tobytes() == step.tobytes()
+        assert cert.l_constants == consts
+
     def test_identity_link_matches_squared_glm(self):
         data = gen_nls_instance(50, 3, seed=411)
         theta0 = np.array([0.2, -0.1, 0.4])

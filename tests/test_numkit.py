@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from mestcert import InvalidInputError, SingularMatrixError, fd_jacobian, op_norm, solve_linear
-from mestcert.numkit import lu_factorization
+from mestcert.numkit import _refined_solve, lu_factorization
 
 
 class TestOpNorm:
@@ -82,6 +82,19 @@ class TestSolveLinear:
             b = rng.normal(size=8)
             x = solve_linear(a, b)
             assert np.linalg.norm(a @ x - b) <= 1e-9 * (1 + np.linalg.norm(b))
+
+
+class TestRefinedSolve:
+    def test_matches_solve_linear_bitwise(self):
+        # covers both branches: the refinement step runs only on the
+        # ill-conditioned systems
+        rng = np.random.default_rng(46)
+        for cond in (1e2, 1e12):
+            q = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+            a = (q * np.geomspace(1.0, cond, 8)) @ q.T
+            b = rng.normal(size=8)
+            assert _refined_solve(a, lu_factorization(a), b).tobytes() == \
+                solve_linear(a, b).tobytes()
 
 
 class TestLuFactorization:
