@@ -22,12 +22,11 @@ from .errors import (ConvergenceError, DegenerateRiskSetError,
                      RankDeficientError, SingularMatrixError)
 from .glm import (Dataset, GlmCertificate, certify, delta, fit, hessian,
                   hessian_holder_constant, score)
-from .losses import (LossFamily, combine_families, loss_derivative_check,
-                     make_family)
+from .losses import LossFamily, combine_families, make_family
 from .nls import (LinkSpec, NlsCertificate, NlsConstants, certify_nls,
                   fit_nls, identity_link, logistic_link, nls_constants,
                   nls_grad, nls_hess, nls_objective, variation_modulus)
-from .numkit import fd_jacobian, op_norm, solve_linear
+from .numkit import op_norm, solve_linear
 from .resample import (LooEntry, LooReport, PosiModel, PosiReport,
                        ScreenCoordinate, ScreenReport, loo_approx, loo_exact,
                        loo_sweep, posi_sweep, screen_marginal)
@@ -71,7 +70,6 @@ __all__ = [
     "cox_objective",
     "cox_score",
     "delta",
-    "fd_jacobian",
     "fit",
     "fit_cox",
     "fit_nls",
@@ -84,7 +82,6 @@ __all__ = [
     "loo_approx",
     "loo_exact",
     "loo_sweep",
-    "loss_derivative_check",
     "make_family",
     "mu_profile",
     "newton_step_certificate",

@@ -15,8 +15,8 @@ Data CSVs need a header with a ``y`` column; every other numeric column
 becomes a covariate, in header order. Survival data additionally carries
 ``time`` and ``status`` (0/1) columns. Matrix files (``--q-ref``,
 ``--constraints``) are headerless numeric CSVs; target files hold one
-number per line. Row and column indices on the command line and in reports
-are 1-based.
+number per line (for kkt: ``beta``, or ``beta`` followed by ``nu``). Row and
+column indices on the command line and in reports are 1-based.
 
 Reports are JSON with every float printed to 17 significant digits, so a
 rerun on identical inputs is byte-identical and parsing recovers the exact
@@ -24,7 +24,9 @@ doubles. Non-finite values (e.g. an uncertified infinite envelope) are
 emitted as ``null``. Exit status is 0 for any completed run, including
 certificates whose condition failed, and 2 for hard errors, which are
 reported as ``{"error": ...}``; an option the subcommand does not read is
-such an error, not a silent no-op.
+such an error, not a silent no-op. ``--family-alpha`` is read only with
+``--family negbinomial``, and ``--tol`` by certify, cox-certify and
+nls-certify only with ``--target plug-in`` (fit, loo and kkt always fit).
 """
 
 import argparse
@@ -33,6 +35,8 @@ import dataclasses
 import json
 import math
 import sys
+from collections import namedtuple
+from functools import partial
 
 import numpy as np
 
@@ -62,8 +66,7 @@ def read_csv(path):
     1-based file rows, header included).
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if any(cell.strip() for cell in r)]
+        rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
     if not rows:
         raise MestcertError(f"{path}: file is empty")
     header = [h.strip() for h in rows[0]]
@@ -168,12 +171,7 @@ def parse_index_spec(spec, n):
 def read_models(path, p):
     """Model list file (one comma-separated 1-based index set per line)."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    models = []
-    for ln in lines:
-        if not ln:
-            continue
-        models.append(parse_index_spec(ln, p))
+        models = [parse_index_spec(ln, p) for ln in map(str.strip, fh) if ln]
     if not models:
         raise MestcertError(f"{path}: no models")
     return models
@@ -237,118 +235,89 @@ def _fields(obj):
 # command implementations
 # ------------------------------------------------------------------ #
 
-def _build_family(args):
-    if args.family == "negbinomial":
-        if args.family_alpha is None:
-            raise MestcertError("negbinomial needs --family-alpha")
-        return make_family("negbinomial", alpha=args.family_alpha)
-    return make_family(args.family)
-
-
-def _resolve_target(args, data, family):
-    if args.target == "zeros":
-        return np.zeros(data.n_features)
-    if args.target == "plug-in":
-        return glm.fit(data, family, tol=args.tol)
-    vec = read_vector(args.target)
-    if vec.shape[0] != data.n_features:
+def _model_and_data(args):
+    """The model named on the command line (the ``--link`` link for
+    nls-certify, the ``--family`` loss otherwise) and the data file, which
+    must hold regression data."""
+    if args.command == "nls-certify":
+        model = (nls.logistic_link() if args.link == "logistic"
+                 else nls.identity_link())
+    elif args.family == "negbinomial" and args.family_alpha is None:
+        raise MestcertError("negbinomial needs --family-alpha")
+    else:
+        model = make_family(args.family, alpha=args.family_alpha)
+    data = read_csv(args.data)
+    if not isinstance(data, Dataset):
         raise MestcertError(
-            f"target has length {vec.shape[0]}, expected {data.n_features}")
+            f"{args.command} expects regression data (a 'y' column, no "
+            f"'time'/'status')")
+    return model, data
+
+
+def _target(args, sizes, fit):
+    """The ``--target`` vector: ``zeros`` of length ``sizes[0]``, ``fit()``
+    for ``plug-in``, or a vector file holding one of ``sizes`` entries."""
+    if args.target == "zeros":
+        return np.zeros(sizes[0])
+    if args.target == "plug-in":
+        return fit()
+    vec = read_vector(args.target)
+    if vec.shape[0] not in sizes:
+        raise MestcertError(
+            f"target has length {vec.shape[0]}, expected "
+            f"{' or '.join(map(str, sizes))}")
     return vec
 
 
-def _require_dataset(data, command):
-    if not isinstance(data, Dataset):
-        raise MestcertError(
-            f"{command} expects regression data (a 'y' column, no "
-            f"'time'/'status')")
-    return data
-
-
 def _cmd_fit(args):
-    family = _build_family(args)
-    data = _require_dataset(read_csv(args.data), "fit")
+    family, data = _model_and_data(args)
     est = glm.fit(data, family, tol=args.tol)
-    return {
-        "command": "fit",
-        "family": args.family,
-        "estimate": est,
-        "score_norm": float(np.linalg.norm(glm.score(data, family, est))),
-    }
+    return {"estimate": est,
+            "score_norm": float(np.linalg.norm(glm.score(data, family, est)))}
 
 
 def _cmd_certify(args):
-    family = _build_family(args)
-    data = _require_dataset(read_csv(args.data), "certify")
-    target = _resolve_target(args, data, family)
-    q_ref = None
-    if args.q_ref:
-        q_ref = read_matrix(args.q_ref)
-    cert = glm.certify(data, family, target, q_ref=q_ref)
-    return {"command": "certify", "family": args.family, **_fields(cert)}
+    family, data = _model_and_data(args)
+    target = _target(args, (data.n_features,),
+                     lambda: glm.fit(data, family, tol=args.tol))
+    q_ref = read_matrix(args.q_ref) if args.q_ref else None
+    return _fields(glm.certify(data, family, target, q_ref=q_ref))
+
+
+def _fold(entry):
+    fold = {**_fields(entry), "indices": [i + 1 for i in entry.indices]}
+    if entry.exact_estimate is None:
+        del fold["exact_estimate"]
+    else:
+        fold["observed_deviation"] = float(np.linalg.norm(
+            entry.exact_estimate - entry.approx_estimate))
+    return fold
 
 
 def _cmd_loo(args):
-    family = _build_family(args)
-    data = _require_dataset(read_csv(args.data), "loo")
+    family, data = _model_and_data(args)
     theta_hat = glm.fit(data, family, tol=args.tol)
     sets = None
     if args.subsets:
         sets = [parse_index_spec(s, data.n_obs) for s in args.subsets]
     report = resample.loo_sweep(data, family, theta_hat, index_sets=sets,
                                 exact=args.exact)
-    folds = []
-    for e in report.entries:
-        fold = {
-            "indices": [i + 1 for i in e.indices],
-            "approx_estimate": e.approx_estimate,
-            "delta_i": e.delta_i,
-            "certified": e.certified,
-            "deviation_bound": e.deviation_bound,
-        }
-        if e.exact_estimate is not None:
-            fold["exact_estimate"] = e.exact_estimate
-            fold["observed_deviation"] = float(np.linalg.norm(
-                e.exact_estimate - e.approx_estimate))
-        folds.append(fold)
-    return {
-        "command": "loo",
-        "family": args.family,
-        "theta_hat": report.theta_hat,
-        "per_fold": folds,
-    }
+    return {"theta_hat": report.theta_hat,
+            "per_fold": [_fold(e) for e in report.entries]}
 
 
 def _cmd_screen(args):
-    family = _build_family(args)
-    data = _require_dataset(read_csv(args.data), "screen")
-    if args.target in ("plug-in", "zeros"):
-        targets = ("plug-in" if args.target == "plug-in"
-                   else np.zeros(data.n_features))
-    else:
-        targets = read_vector(args.target)
-    q_refs = None
-    if args.q_ref:
-        # screening references are per-coordinate curvature scalars
-        q_refs = read_vector(args.q_ref)
+    family, data = _model_and_data(args)
+    targets = _target(args, (data.n_features,), lambda: "plug-in")
+    # screening references are per-coordinate curvature scalars
+    q_refs = read_vector(args.q_ref) if args.q_ref else None
     report = resample.screen_marginal(data, family, targets=targets,
                                       q_refs=q_refs)
     return {
-        "command": "screen",
-        "family": args.family,
         "target_source": report.target_source,
         "q_source": report.q_source,
-        "per_coordinate": [
-            {
-                "index": c.index + 1,
-                "estimate": c.estimate,
-                "target": c.target,
-                "delta": c.delta,
-                "expansion_bound": c.expansion_bound,
-                "certified": c.certified,
-            }
-            for c in report.coordinates
-        ],
+        "per_coordinate": [{**_fields(c), "index": c.index + 1}
+                           for c in report.coordinates],
         "max_stat_bound": report.max_stat_bound,
         "all_certified": report.all_certified,
     }
@@ -358,8 +327,7 @@ def _cmd_posi(args):
     if args.target != "plug-in":
         raise MestcertError("posi certifies each submodel at its plug-in "
                             "root; --target must be 'plug-in'")
-    family = _build_family(args)
-    data = _require_dataset(read_csv(args.data), "posi")
+    family, data = _model_and_data(args)
     if not args.models:
         raise MestcertError("posi needs --models FILE")
     models = read_models(args.models, data.n_features)
@@ -371,118 +339,74 @@ def _cmd_posi(args):
         if m.exact_estimate is not None:
             entry["exact_estimate"] = m.exact_estimate
         entries.append(entry)
-    return {
-        "command": "posi",
-        "family": args.family,
-        "per_model": entries,
-        "uniform_condition_ok": report.uniform_condition_ok,
-    }
+    return {"per_model": entries,
+            "uniform_condition_ok": report.uniform_condition_ok}
 
 
 def _cmd_cox_certify(args):
     data = read_csv(args.data)
     if not isinstance(data, coxmod.SurvivalDataset):
         raise MestcertError("cox-certify expects 'time' and 'status' columns")
-    if args.target == "zeros":
-        target = np.zeros(data.n_features)
-    elif args.target == "plug-in":
-        target = coxmod.fit_cox(data, tol=args.tol)
-    else:
-        target = read_vector(args.target)
-    cert = coxmod.certify_cox(data, target)
-    return {"command": "cox-certify", **_fields(cert)}
+    target = _target(args, (data.n_features,),
+                     lambda: coxmod.fit_cox(data, tol=args.tol))
+    return _fields(coxmod.certify_cox(data, target))
 
 
 def _cmd_nls_certify(args):
-    data = _require_dataset(read_csv(args.data), "nls-certify")
-    link = nls.logistic_link() if args.link == "logistic" else nls.identity_link()
-    if args.target == "zeros":
-        target = np.zeros(data.n_features)
-    elif args.target == "plug-in":
-        target = nls.fit_nls(data, link, np.zeros(data.n_features),
-                             tol=args.tol)
-    else:
-        target = read_vector(args.target)
-    cert = nls.certify_nls(data, link, target)
-    return {"command": "nls-certify", "link": args.link, **_fields(cert)}
+    link, data = _model_and_data(args)
+    p = data.n_features
+    target = _target(args, (p,), lambda: nls.fit_nls(data, link, np.zeros(p),
+                                                     tol=args.tol))
+    return _fields(nls.certify_nls(data, link, target))
 
 
 def _cmd_kkt(args):
-    family = _build_family(args)
-    data = _require_dataset(read_csv(args.data), "kkt")
+    family, data = _model_and_data(args)
     if not args.constraints:
         raise MestcertError("kkt needs --constraints FILE (rows of a_1..a_p,b)")
     system = read_matrix(args.constraints)
-    if system.shape[1] != data.n_features + 1:
+    p = data.n_features
+    if system.shape[1] != p + 1:
         raise MestcertError(
-            f"constraint rows must have {data.n_features + 1} entries "
+            f"constraint rows must have {p + 1} entries "
             f"(a_1..a_p, b), got {system.shape[1]}")
-    a_mat = system[:, :-1]
-    b_vec = system[:, -1]
+    a_mat, b_vec = system[:, :-1], system[:, -1]
 
-    def grad(beta):
-        return glm.score(data, family, beta)
-
-    def hess(beta):
-        return glm.hessian(data, family, beta)
-
+    grad = partial(glm.score, data, family)
+    hess = partial(glm.hessian, data, family)
     point = kkt_solve(grad, hess, a_mat, b_vec, tol=args.tol)
-    if args.target == "plug-in":
-        beta0, nu0 = point.beta, point.nu
-    elif args.target == "zeros":
-        beta0, nu0 = np.zeros(data.n_features), None
-    else:
-        vec = read_vector(args.target)
-        if vec.shape[0] == data.n_features:
-            beta0, nu0 = vec, None
-        elif vec.shape[0] == data.n_features + a_mat.shape[0]:
-            beta0, nu0 = vec[:data.n_features], vec[data.n_features:]
-        else:
-            raise MestcertError(
-                f"kkt target needs p={data.n_features} (beta) or p+d="
-                f"{data.n_features + a_mat.shape[0]} (beta,nu) entries")
+    # a target file holds beta, or beta followed by nu
+    target = _target(args, (p, p + a_mat.shape[0]),
+                     lambda: np.concatenate([point.beta, point.nu]))
+    beta0, nu0 = target[:p], (target[p:] if target.shape[0] > p else None)
     holder_l, alpha = hessian_holder_constant(data, family, beta0)
     cert = certify_constrained(grad, hess, a_mat, b_vec, beta0, nu0=nu0,
                                holder_l=holder_l, alpha=alpha)
-    return {
-        "command": "kkt",
-        "family": args.family,
-        "kkt_point": point,
-        "target": cert.target_beta,
-        "target_nu": cert.target_nu,
-        "delta": cert.delta,
-        "holder_l": cert.holder_l,
-        "alpha": cert.alpha,
-        "condition_ok": cert.condition_ok,
-        "step": cert.step,
-        "remainder_bound": cert.remainder_bound,
-    }
+    return {"kkt_point": point, **_fields(cert)}
 
 
+#: a subcommand: its implementation, its default ``--target`` (None where it
+#: takes none), the options it reads besides the data file and ``--out``, and
+#: those it reads only with ``--target plug-in``
+_Command = namedtuple("_Command", "run target reads plug_in_reads",
+                      defaults=((),))
+_GLM = ("family", "family_alpha")
+#: every subcommand; setting an option it does not read is an error, not a
+#: silent no-op (screen and posi fit at a fixed tolerance: no --tol)
 _COMMANDS = {
-    "fit": _cmd_fit,
-    "certify": _cmd_certify,
-    "loo": _cmd_loo,
-    "screen": _cmd_screen,
-    "posi": _cmd_posi,
-    "cox-certify": _cmd_cox_certify,
-    "nls-certify": _cmd_nls_certify,
-    "kkt": _cmd_kkt,
-}
-
-_GLM_OPTIONS = ("family", "family_alpha")
-#: the options each subcommand reads besides the data file and --out;
-#: setting any other option is an error, not a silent no-op (screen and
-#: posi fit at a fixed tolerance, so they take no --tol)
-_OPTIONS = {
-    "fit": _GLM_OPTIONS + ("tol",),
-    "certify": _GLM_OPTIONS + ("target", "q_ref", "tol"),
-    "loo": _GLM_OPTIONS + ("tol", "subsets", "exact"),
-    "screen": _GLM_OPTIONS + ("target", "q_ref"),
-    "posi": _GLM_OPTIONS + ("target", "models", "exact"),
-    "cox-certify": ("target", "tol"),
-    "nls-certify": ("target", "tol", "link"),
-    "kkt": _GLM_OPTIONS + ("target", "tol", "constraints"),
+    "fit": _Command(_cmd_fit, None, _GLM + ("tol",)),
+    "certify": _Command(_cmd_certify, "zeros", _GLM + ("target", "q_ref"),
+                        ("tol",)),
+    "loo": _Command(_cmd_loo, None, _GLM + ("tol", "subsets", "exact")),
+    "screen": _Command(_cmd_screen, "plug-in", _GLM + ("target", "q_ref")),
+    "posi": _Command(_cmd_posi, "plug-in", _GLM + ("target", "models",
+                                                   "exact")),
+    "cox-certify": _Command(_cmd_cox_certify, "zeros", ("target",),
+                            ("tol",)),
+    "nls-certify": _Command(_cmd_nls_certify, "zeros", ("target", "link"),
+                            ("tol",)),
+    "kkt": _Command(_cmd_kkt, "plug-in", _GLM + ("target", "tol",
+                                                 "constraints")),
 }
 #: values of unset options; the parser leaves them None so that run() can
 #: tell an explicit setting from a default
@@ -500,47 +424,56 @@ def build_parser():
         p.add_argument("data", help="input CSV (header row, 'y' column)")
         p.add_argument("--family", choices=_FAMILIES,
                        help="loss family (default: squared)")
-        p.add_argument("--family-alpha", type=float, default=None,
+        p.add_argument("--family-alpha", type=float,
                        help="overdispersion parameter for negbinomial")
-        p.add_argument("--target", default=None,
+        p.add_argument("--target",
                        help="'zeros', 'plug-in', or a vector file "
                             "(default depends on the command)")
-        p.add_argument("--q-ref", default=None,
-                       help="reference Hessian as headerless CSV")
+        p.add_argument("--q-ref", help="reference Hessian as headerless CSV")
         p.add_argument("--tol", type=float,
                        help="root tolerance of the fits (default: 1e-10)")
         p.add_argument("--subsets", action="append", default=None,
                        help="1-based row set like '1,4-7'; repeatable "
                             "(loo; default: all singletons)")
-        p.add_argument("--models", default=None,
+        p.add_argument("--models",
                        help="file with one comma-separated 1-based column "
                             "set per line (posi)")
         p.add_argument("--exact", action="store_true", default=None,
                        help="also run exact refit oracles")
         p.add_argument("--link", choices=("logistic", "identity"),
                        help="link for nls-certify (default: logistic)")
-        p.add_argument("--constraints", default=None,
+        p.add_argument("--constraints",
                        help="headerless CSV of constraint rows a_1..a_p,b (kkt)")
-        p.add_argument("--out", default=None,
-                       help="output path (default: stdout)")
+        p.add_argument("--out", help="output path (default: stdout)")
     return parser
 
 
 def run(args):
     """Execute a parsed command; returns (exit_code, json_text)."""
-    reads = _OPTIONS[args.command] + ("out",)
-    for dest, value in vars(args).items():
-        if value is not None and dest not in reads + ("command", "data"):
-            raise MestcertError(
-                f"{args.command} does not read {_flag(dest)}; its options "
-                f"are {', '.join(map(_flag, reads))}")
+    command = _COMMANDS[args.command]
+    given = [dest for dest, value in vars(args).items()
+             if value is not None and dest not in ("command", "data", "out")]
     for dest, value in _DEFAULTS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
     if args.target is None:
-        args.target = ("plug-in" if args.command in ("screen", "posi", "kkt")
-                       else "zeros")
-    report = _COMMANDS[args.command](args)
+        args.target = command.target
+    reads = command.reads + command.plug_in_reads + ("out",)
+    # the (option, value) that some options are read only with
+    needs = {"family_alpha": ("family", "negbinomial"),
+             **dict.fromkeys(command.plug_in_reads, ("target", "plug-in"))}
+    for dest in given:
+        other, value = needs.get(dest, (None, None))
+        if dest in reads and (other is None or getattr(args, other) == value):
+            continue
+        why = f" unless {_flag(other)} {value}" if dest in reads else ""
+        raise MestcertError(
+            f"{args.command} does not read {_flag(dest)}{why}; its options "
+            f"are {', '.join(map(_flag, reads))}")
+    report = {"command": args.command}
+    report.update((dest, getattr(args, dest)) for dest in ("family", "link")
+                  if dest in reads)
+    report.update(command.run(args))
     return 0, dump_json(report)
 
 

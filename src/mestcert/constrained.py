@@ -49,10 +49,10 @@ class KktPoint:
 @dataclass(frozen=True)
 class ConstrainedCertificate:
     """Certificate at a feasible target: when ``condition_ok``, a KKT point
-    exists and ``target_beta + step`` misses its primal part by at most
+    exists and ``target + step`` misses its primal part by at most
     ``remainder_bound``."""
 
-    target_beta: np.ndarray
+    target: np.ndarray
     target_nu: np.ndarray
     delta: float
     holder_l: float
@@ -192,7 +192,7 @@ def certify_constrained(grad, hess, a, b, beta0, nu0=None,
 
     ok = holder_l == 0.0 or dlt <= (3.0 * holder_l) ** (-1.0 / alpha)
     return ConstrainedCertificate(
-        target_beta=beta0,
+        target=beta0,
         target_nu=nu0,
         delta=dlt,
         holder_l=holder_l,

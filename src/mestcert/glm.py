@@ -30,6 +30,8 @@ from .numkit import (as_matrix, as_parameter, as_vector, damped_newton,
 
 #: curvature-ratio threshold of the certificate condition
 CONDITION_LIMIT = 4.0 / 3.0
+#: radius doublings hessian_holder_constant tries before giving up
+HOLDER_MAX_GROWTH = 200
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,8 @@ class Dataset:
     ``y (n,)`` with finite entries. Intercepts are not implicit; append a
     ones column if one is wanted. ``X`` and ``y`` are read-only views of
     the arrays passed in (not copies: do not modify those afterwards). Row
-    weights are evaluated once per dataset and weight function."""
+    weights are evaluated once per dataset and weight function, and a row
+    subset keeps the weights of its rows."""
 
     X: np.ndarray
     y: np.ndarray
@@ -67,9 +70,14 @@ class Dataset:
         return Dataset, (self.X, self.y)
 
     def subset_rows(self, keep):
-        return Dataset(self.X[keep], self.y[keep])
+        # weights are per row, so the retained rows keep the memoised ones
+        sub = Dataset(self.X[keep], self.y[keep])
+        sub._weight_memo.update((key, (fn, w[keep])) for key, (fn, w)
+                                in self._weight_memo.items())
+        return sub
 
     def subset_columns(self, cols):
+        # fresh weights: the weight function reads the whole covariate row
         return Dataset(self.X[:, list(cols)], self.y)
 
 
@@ -224,7 +232,7 @@ def certify(data, family, theta0, q_ref=None):
     )
 
 
-def hessian_holder_constant(data, family, theta0, max_growth=200):
+def hessian_holder_constant(data, family, theta0):
     """Certified Lipschitz constant of the relative Hessian variation.
 
     Returns ``(L, 1.0)`` with ``||Qhat(theta0)^-1 (Qhat(theta) -
@@ -236,7 +244,8 @@ def hessian_holder_constant(data, family, theta0, max_growth=200):
     the ball edge covers the interior.
 
     The radius/constant pair is found by growing the trial radius until it
-    self-consistently covers ``1/(3L)``; quadratic objectives short-circuit
+    self-consistently covers ``1/(3L)``, doubling it at most
+    ``HOLDER_MAX_GROWTH`` times; quadratic objectives short-circuit
     to ``L = 0``. A singular ``Qhat(theta0)`` raises
     :class:`~mestcert.errors.SingularMatrixError`.
     """
@@ -255,7 +264,7 @@ def hessian_holder_constant(data, family, theta0, max_growth=200):
     l_val = l_at(r)
     if l_val == 0.0:
         return 0.0, 1.0
-    for _ in range(int(max_growth)):
+    for _ in range(HOLDER_MAX_GROWTH):
         if 1.0 / (3.0 * l_val) <= r:
             return l_val, 1.0
         r *= 2.0

@@ -34,7 +34,7 @@ from .numkit import row_weights
 
 #: u-grid used to sanity-check a curvature bound at construction time
 _CHECK_GRID = np.arange(-3.0, 3.0 + 1e-9, 0.25)
-#: default responses the construction check evaluates l'' at
+#: responses the construction check evaluates l'' at
 _CHECK_YS = (0.0, 1.0, 3.0)
 _CHECK_RTOL = 1e-9
 
@@ -89,7 +89,7 @@ def sigmoid(u):
 
 
 def make_family(kind, alpha=None, eval0=None, eval1=None, eval2=None,
-                cbound=None, weight=None, check_ys=_CHECK_YS):
+                cbound=None, weight=None):
     """Construct a built-in or custom loss family.
 
     Parameters
@@ -101,11 +101,10 @@ def make_family(kind, alpha=None, eval0=None, eval1=None, eval2=None,
         Overdispersion parameter for ``"negbinomial"``; must be positive.
     eval0, eval1, eval2, cbound : callable, optional
         Required for ``kind="custom"``; the asserted ``cbound`` is checked
-        against ``eval2`` on a fixed grid and a violation is a hard error.
+        against ``eval2`` on a fixed grid (at the responses ``_CHECK_YS``)
+        and a violation is a hard error.
     weight : callable, optional
         Per-row weight ``h(x)``; defaults to unit weights.
-    check_ys : tuple of float
-        Responses used by the construction-time grid check of custom bounds.
     """
     if kind == "squared":
         return LossFamily(
@@ -176,12 +175,12 @@ def make_family(kind, alpha=None, eval0=None, eval1=None, eval2=None,
                 "custom families need eval0, eval1, eval2 and cbound callables")
         fam = LossFamily(kind="custom", eval0=eval0, eval1=eval1, eval2=eval2,
                          cbound=cbound, weight=weight)
-        _validate_cbound(fam, check_ys)
+        _validate_cbound(fam)
         return fam
     raise InvalidInputError(f"unknown loss kind {kind!r}")
 
 
-def _validate_cbound(family, ys):
+def _validate_cbound(family):
     """Grid check of the asserted curvature bound; violations are fatal.
 
     A sampled check cannot prove the bound, but a single counterexample on
@@ -196,7 +195,7 @@ def _validate_cbound(family, ys):
     if np.any(np.diff(cvals) < -_CHECK_RTOL):
         raise InvalidInputError("cbound must be nondecreasing")
     grid = _CHECK_GRID
-    for y in ys:
+    for y in _CHECK_YS:
         d2 = np.asarray(family.eval2(grid, np.full_like(grid, float(y))), float)
         if np.any(d2 <= 0.0) or not np.all(np.isfinite(d2)):
             raise InvalidInputError(
@@ -248,21 +247,3 @@ def combine_families(a, family1, b, family2):
                                     np.asarray(c2(u), float)),
         weight=family1.weight,
     )
-
-
-def loss_derivative_check(family, u, y, h):
-    """Worst finite-difference discrepancy of the family's derivatives.
-
-    Returns ``max(|fd(l) - l'|, |fd(l') - l''|)`` with central differences of
-    step ``h`` at the point ``(u, y)``; small values certify consistency of
-    the three evaluators.
-    """
-    h = float(h)
-    if not h > 0.0:
-        raise InvalidInputError(f"step size must be positive, got {h}")
-    u = float(u)
-    y = float(y)
-    fd1 = (float(family.eval0(u + h, y)) - float(family.eval0(u - h, y))) / (2 * h)
-    fd2 = (float(family.eval1(u + h, y)) - float(family.eval1(u - h, y))) / (2 * h)
-    return max(abs(fd1 - float(family.eval1(u, y))),
-               abs(fd2 - float(family.eval2(u, y))))

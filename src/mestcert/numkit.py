@@ -1,4 +1,4 @@
-"""Dense linear algebra, finite differences and the damped Newton driver.
+"""Dense linear algebra and the damped Newton driver.
 
 Everything downstream (certificates, fitters, resampling sweeps) funnels its
 matrix work through the solve and norm functions here, so their behaviour
@@ -199,37 +199,6 @@ def _factor(a):
         return x
 
     return a, solve
-
-
-def fd_jacobian(f, theta, h):
-    """Central-difference Jacobian of a vector-valued callable.
-
-    Column ``j`` is ``(f(theta + h e_j) - f(theta - h e_j)) / (2 h)``.
-    Used throughout the test suite as the independent oracle for analytic
-    gradients and Hessians.
-
-    Parameters
-    ----------
-    f : callable
-        Maps a 1-d array to a scalar or 1-d array; must be pure.
-    theta : (q,) array_like
-        Evaluation point.
-    h : float
-        Step size, strictly positive.
-    """
-    t0 = as_vector(theta, "theta")
-    h = float(h)
-    if not h > 0.0:
-        raise InvalidInputError(f"step size must be positive, got {h}")
-    cols = []
-    for j in range(t0.size):
-        tp = t0.copy()
-        tm = t0.copy()
-        tp[j] += h
-        tm[j] -= h
-        cols.append((np.atleast_1d(np.asarray(f(tp), dtype=float))
-                     - np.atleast_1d(np.asarray(f(tm), dtype=float))) / (2.0 * h))
-    return np.column_stack(cols)
 
 
 def damped_newton(x, residual, newton_step, tol, max_iter, objective=None,

@@ -45,8 +45,10 @@ from . import glm
 from .errors import ConvergenceError, InvalidInputError, SingularMatrixError
 from .numkit import lu_factorization, op_norm
 
-#: default tolerance on ||score(theta_hat)|| for accepting a root input
+#: tolerance on ||score(theta_hat)|| for accepting a root input
 ROOT_SCORE_TOL = 1e-8
+#: root tolerance of the exact refits and the submodel fits
+FIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,13 +118,14 @@ class _DeletionContext:
     """Shared full-data quantities for a deletion sweep: per-row gradient
     and curvature pieces plus one factorization of the full Hessian."""
 
-    def __init__(self, data, family, theta_hat, score_tol):
+    def __init__(self, data, family, theta_hat):
         theta_hat = np.asarray(theta_hat, dtype=float)
         score_norm = float(np.linalg.norm(glm.score(data, family, theta_hat)))
-        if score_norm > score_tol:
+        if score_norm > ROOT_SCORE_TOL:
             raise InvalidInputError(
                 f"theta_hat is not a root of the full-data score "
-                f"(||score|| = {score_norm:.3e} > {score_tol:.0e}); fit first")
+                f"(||score|| = {score_norm:.3e} > {ROOT_SCORE_TOL:.0e}); "
+                f"fit first")
         self.data = data
         self.family = family
         self.theta_hat = theta_hat
@@ -174,16 +177,16 @@ def _check_index_set(index_set, n):
     return idx
 
 
-def loo_approx(data, family, theta_hat, index_set, score_tol=ROOT_SCORE_TOL):
+def loo_approx(data, family, theta_hat, index_set):
     """One-step deletion estimate and certified deviation bound for one
     index set. ``theta_hat`` must solve the full-data score equation to
-    ``score_tol``. Never raises on a failed certificate condition; see
+    ``ROOT_SCORE_TOL``. Never raises on a failed certificate condition; see
     :class:`LooEntry`."""
-    ctx = _DeletionContext(data, family, theta_hat, score_tol)
+    ctx = _DeletionContext(data, family, theta_hat)
     return ctx.entry(index_set)
 
 
-def loo_exact(data, family, index_set, tol=1e-12, init=None, max_iter=200):
+def loo_exact(data, family, index_set, tol=FIT_TOL, init=None, max_iter=200):
     """Oracle refit on the retained rows (no approximation).
 
     Non-convergent or degenerate reduced problems raise, e.g. deleting all
@@ -196,15 +199,14 @@ def loo_exact(data, family, index_set, tol=1e-12, init=None, max_iter=200):
                    max_iter=max_iter)
 
 
-def loo_sweep(data, family, theta_hat, index_sets=None, exact=False,
-              score_tol=ROOT_SCORE_TOL, exact_tol=1e-12):
+def loo_sweep(data, family, theta_hat, index_sets=None, exact=False):
     """Deletion sweep sharing one Hessian factorization across index sets.
 
     ``index_sets=None`` sweeps all singletons. Entries are ordered by their
     sorted index tuple. With ``exact=True`` each entry also carries the
-    oracle refit (initialized at the full-data root).
+    oracle refit (initialized at the full-data root, to ``FIT_TOL``).
     """
-    ctx = _DeletionContext(data, family, theta_hat, score_tol)
+    ctx = _DeletionContext(data, family, theta_hat)
     if index_sets is None:
         sets = [(i,) for i in range(data.n_obs)]
     else:
@@ -214,13 +216,12 @@ def loo_sweep(data, family, theta_hat, index_sets=None, exact=False,
         e = ctx.entry(idx)
         if exact:
             e = replace(e, exact_estimate=loo_exact(
-                data, family, idx, tol=exact_tol, init=ctx.theta_hat))
+                data, family, idx, tol=FIT_TOL, init=ctx.theta_hat))
         entries.append(e)
     return LooReport(theta_hat=ctx.theta_hat, entries=entries)
 
 
-def screen_marginal(data, family, targets="plug-in", fit_tol=1e-12,
-                    q_refs=None):
+def screen_marginal(data, family, targets="plug-in", q_refs=None):
     """Certify every single-covariate marginal model.
 
     Parameters
@@ -232,9 +233,10 @@ def screen_marginal(data, family, targets="plug-in", fit_tol=1e-12,
         Per-coordinate reference curvature scalars; when given, expansion
         bounds carry the reference-mismatch term.
 
-    Coordinates whose marginal Hessian is singular (or whose marginal fit
-    diverges under plug-in targets) are marked uncertified rather than
-    raising; the max-statistic envelope is then infinite.
+    Marginal roots are fitted to ``FIT_TOL``. Coordinates whose marginal
+    Hessian is singular (or whose marginal fit diverges under plug-in
+    targets) are marked uncertified rather than raising; the max-statistic
+    envelope is then infinite.
     """
     p = data.n_features
     plug_in = isinstance(targets, str)
@@ -257,7 +259,7 @@ def screen_marginal(data, family, targets="plug-in", fit_tol=1e-12,
     for j in range(p):
         sub = data.subset_columns([j])
         try:
-            estimate = float(glm.fit(sub, family, tol=fit_tol)[0])
+            estimate = float(glm.fit(sub, family, tol=FIT_TOL)[0])
         except (SingularMatrixError, ConvergenceError):
             estimate = np.nan
         target_j = estimate if plug_in else float(tvec[j])
@@ -290,7 +292,7 @@ def screen_marginal(data, family, targets="plug-in", fit_tol=1e-12,
 
 
 def posi_sweep(data, family, models, targets="plug-in", cap=10000,
-               exact=False, fit_tol=1e-12):
+               exact=False):
     """Certify a list of column-subset submodels.
 
     Parameters
@@ -300,7 +302,7 @@ def posi_sweep(data, family, models, targets="plug-in", cap=10000,
         deduplicated list must stay within ``cap``.
     targets : "plug-in" or mapping
         Per-model target vectors keyed by the sorted index tuple, or
-        plug-in roots.
+        plug-in roots (fitted to ``FIT_TOL``).
     exact : bool
         Also carry the exact submodel refit per model.
 
@@ -334,7 +336,7 @@ def posi_sweep(data, family, models, targets="plug-in", cap=10000,
     for key in sorted(keys):
         sub = data.subset_columns(key)
         if plug_in:
-            target = glm.fit(sub, family, tol=fit_tol)
+            target = glm.fit(sub, family, tol=FIT_TOL)
         else:
             if key not in targets:
                 raise InvalidInputError(f"no target supplied for model {key}")
@@ -343,7 +345,7 @@ def posi_sweep(data, family, models, targets="plug-in", cap=10000,
         refit = None
         if exact:
             refit = (target.copy() if plug_in
-                     else glm.fit(sub, family, tol=fit_tol))
+                     else glm.fit(sub, family, tol=FIT_TOL))
         entries.append(PosiModel(indices=key, certificate=cert,
                                  exact_estimate=refit))
     return PosiReport(models=entries,

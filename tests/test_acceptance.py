@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 from conftest import gen_glm_instance, gen_survival_instance
+from finite_differences import fd_jacobian
 
 import mestcert as mc
 from mestcert.cli import main as cli_main
@@ -366,20 +367,20 @@ def test_criterion_8_derivative_oracles():
         for _ in range(50):
             theta = rng.normal(size=2) * 0.4
             check(mc.score(data, fam, theta),
-                  mc.fd_jacobian(lambda t: objective(data, fam, t),
-                                 theta, 1e-6)[0], 1.0)
+                  fd_jacobian(lambda t: objective(data, fam, t),
+                              theta, 1e-6)[0], 1.0)
             check(mc.hessian(data, fam, theta),
-                  mc.fd_jacobian(lambda t: mc.score(data, fam, t),
-                                 theta, 1e-6), 1.0)
+                  fd_jacobian(lambda t: mc.score(data, fam, t),
+                              theta, 1e-6), 1.0)
 
     sdata = gen_survival_instance(25, 2, seed=9508)
     for _ in range(50):
         beta = rng.normal(size=2) * 0.4
         check(mc.cox_score(sdata, beta),
-              mc.fd_jacobian(lambda bb: np.array([mc.cox_objective(sdata, bb)]),
-                             beta, 1e-6)[0], 1.0)
+              fd_jacobian(lambda bb: np.array([mc.cox_objective(sdata, bb)]),
+                          beta, 1e-6)[0], 1.0)
         check(mc.cox_jacobian(sdata, beta),
-              mc.fd_jacobian(lambda bb: mc.cox_score(sdata, bb), beta, 1e-6),
+              fd_jacobian(lambda bb: mc.cox_score(sdata, bb), beta, 1e-6),
               1.0)
 
     link = mc.logistic_link()
@@ -387,11 +388,11 @@ def test_criterion_8_derivative_oracles():
     for _ in range(50):
         theta = rng.normal(size=2) * 0.4
         check(mc.nls_grad(ndata, link, theta),
-              mc.fd_jacobian(lambda t: mc.nls_objective(ndata, link, t),
-                             theta, 1e-6)[0], 1.0)
+              fd_jacobian(lambda t: mc.nls_objective(ndata, link, t),
+                          theta, 1e-6)[0], 1.0)
         check(mc.nls_hess(ndata, link, theta),
-              mc.fd_jacobian(lambda t: mc.nls_grad(ndata, link, t),
-                             theta, 1e-6), 1.0)
+              fd_jacobian(lambda t: mc.nls_grad(ndata, link, t),
+                          theta, 1e-6), 1.0)
     report(8, "analytic gradients/Hessians in glm+cox+nls match central "
               "finite differences (50 random points each)",
            True, f"worst relative gap {worst:.2e}")

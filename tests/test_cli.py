@@ -56,6 +56,18 @@ _READS = {
 }
 _UNREAD = [(command, option) for command, reads in _READS.items()
            for option in _OPTION_VALUES if option not in reads]
+#: (subcommand, option, settings under which the subcommand does not read
+#: it): --family-alpha is read only for negbinomial, and --tol by the three
+#: certify subcommands only to fit a plug-in target
+_UNREAD_FOR_VALUE = [
+    (command, "--family-alpha", settings)
+    for command in ("fit", "certify", "loo", "screen", "posi", "kkt")
+    for settings in ([], ["--family", "poisson"])
+] + [
+    (command, "--tol", settings)
+    for command in ("certify", "cox-certify", "nls-certify")
+    for settings in ([], ["--target", "zeros"], ["--target", "t.txt"])
+]
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -288,10 +300,62 @@ class TestCommands:
         assert f"{command} does not read {option};" in \
             json.loads(payload)["error"]
 
+    @pytest.mark.parametrize("command,option,settings", _UNREAD_FOR_VALUE,
+                             ids=[" ".join([c, *s, o]) for c, o, s in
+                                  _UNREAD_FOR_VALUE])
+    def test_option_rejected_for_this_value(self, command, option, settings,
+                                            ols_csv, survival_csv, tmp_path):
+        data = survival_csv if command == "cox-certify" else ols_csv
+        settings = [write(tmp_path, s, "0.0\n0.0\n") if s.endswith(".txt")
+                    else s for s in settings]
+        argv = [command, data] + settings + [option] + _OPTION_VALUES[option]
+        code, payload = run_cli(argv, tmp_path)
+        assert code == 2
+        assert f"{command} does not read {option} unless" in \
+            json.loads(payload)["error"]
+
+    @pytest.mark.parametrize("command", ["certify", "screen", "cox-certify",
+                                         "nls-certify", "kkt"])
+    def test_target_file_of_wrong_length(self, command, ols_csv,
+                                         survival_csv, tmp_path):
+        # ols_csv has p = 2 covariates, survival_csv p = 1; kkt takes beta
+        # (p) or beta followed by nu (p + d, here d = 1)
+        target = write(tmp_path, "t.txt", "1 2 3 4 5\n")
+        argv = [command, survival_csv if command == "cox-certify" else ols_csv,
+                "--target", target]
+        if command == "kkt":
+            argv += ["--constraints", write(tmp_path, "c.csv", "1,1,1\n")]
+        code, payload = run_cli(argv, tmp_path)
+        assert code == 2
+        expected = {"cox-certify": "1", "kkt": "2 or 3"}.get(command, "2")
+        assert json.loads(payload)["error"] == \
+            f"target has length 5, expected {expected}"
+
+    @pytest.mark.parametrize("command", ["certify", "cox-certify",
+                                         "nls-certify", "kkt"])
+    def test_target_file_holding_the_plug_in_root(self, command, ols_csv,
+                                                  survival_csv, tmp_path):
+        base = [command, survival_csv if command == "cox-certify" else ols_csv]
+        if command == "kkt":
+            base += ["--constraints", write(tmp_path, "c.csv", "1,1,1\n")]
+        code, plug_in = run_cli(base + ["--target", "plug-in"], tmp_path,
+                                "plug-in.json")
+        assert code == 0
+        report = json.loads(plug_in)
+        if command == "kkt":
+            # beta followed by nu: the p + d entry form
+            root = report["kkt_point"]["beta"] + report["kkt_point"]["nu"]
+        else:
+            root = report["target"]
+        target = write(tmp_path, "root.txt",
+                       "\n".join(format(v, ".17g") for v in root) + "\n")
+        assert run_cli(base + ["--target", target], tmp_path,
+                       "file.json") == (0, plug_in)
+
     def test_unset_options_take_their_defaults(self, ols_csv, tmp_path):
         for unset, explicit in (
-                (["certify", ols_csv], ["--family", "squared", "--tol",
-                                        "1e-10"]),
+                (["certify", ols_csv, "--target", "plug-in"],
+                 ["--family", "squared", "--tol", "1e-10"]),
                 (["fit", ols_csv], ["--family", "squared", "--tol", "1e-10"]),
                 (["loo", ols_csv], ["--family", "squared"]),
                 (["nls-certify", ols_csv, "--target", "plug-in"],

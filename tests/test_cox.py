@@ -5,13 +5,14 @@ import cox_reference as ref
 import numpy as np
 import pytest
 from conftest import gen_survival_instance
+from finite_differences import fd_jacobian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mestcert import (ConvergenceError, DegenerateRiskSetError,
                       InvalidInputError, SingularMatrixError, SurvivalDataset,
                       certify_cox, cox, cox_jacobian, cox_objective, cox_score,
-                      fd_jacobian, fit_cox, mu_profile, softmax_ratio_check)
+                      fit_cox, mu_profile, softmax_ratio_check)
 from mestcert.cox import COX_CONDITION_LIMIT, COX_EXPANSION_CONST
 
 EPS = np.finfo(float).eps

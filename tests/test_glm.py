@@ -5,12 +5,13 @@ import pickle
 import numpy as np
 import pytest
 from conftest import gen_glm_instance
+from finite_differences import fd_jacobian
 
 from mestcert import (ConvergenceError, Dataset, InvalidInputError,
-                      SingularMatrixError, certify, delta, fd_jacobian, fit,
-                      hessian, hessian_holder_constant, loo_sweep,
-                      make_family, op_norm, score)
-from mestcert import glm
+                      SingularMatrixError, certify, delta, fit, hessian,
+                      hessian_holder_constant, loo_sweep, make_family,
+                      op_norm, score)
+from mestcert import glm, resample
 from mestcert.cli import dump_json
 from mestcert.glm import objective
 from mestcert.numkit import row_weights
@@ -439,6 +440,26 @@ class TestWeightsOnce:
             data.X[0, 0] = 1.0
         with pytest.raises(ValueError):
             data.y[0] = 1.0
+
+    def test_exact_refits_reuse_weights(self):
+        calls = []
+
+        def counted(row):
+            calls.append(1)
+            return _weight(row)
+
+        data, fam = gen_glm_instance("logistic", 30, 3, seed=6640)
+        fam = dataclasses.replace(fam, weight=counted)
+        theta = fit(data, fam, tol=1e-12)
+        assert len(calls) == data.n_obs
+        report = loo_sweep(data, fam, theta, exact=True)
+        assert len(calls) == data.n_obs
+        for entry in report.entries:
+            keep = np.ones(data.n_obs, dtype=bool)
+            keep[list(entry.indices)] = False
+            fresh = Dataset(X=np.array(data.X[keep]), y=np.array(data.y[keep]))
+            refit = fit(fresh, fam, init=theta, tol=resample.FIT_TOL)
+            assert entry.exact_estimate.tobytes() == refit.tobytes()
 
     def test_subset_columns_gets_fresh_weights(self):
         # the weight reads the whole row, so a column subset changes it

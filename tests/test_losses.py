@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mestcert import InvalidInputError, combine_families, loss_derivative_check, make_family
+from finite_differences import loss_derivative_check
+
+from mestcert import InvalidInputError, combine_families, make_family
 
 GRID = np.arange(-3.0, 3.0 + 1e-9, 0.25)
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from finite_differences import fd_jacobian
 
 from mestcert import (ConvergenceError, Dataset, LinkSpec, certify_nls,
-                      fd_jacobian, fit_nls, identity_link, logistic_link,
-                      make_family, nls_constants, nls_grad, nls_hess,
-                      nls_objective, op_norm, variation_modulus)
+                      fit_nls, identity_link, logistic_link, make_family,
+                      nls_constants, nls_grad, nls_hess, nls_objective,
+                      op_norm, variation_modulus)
 from mestcert import certify as glm_certify
 from mestcert.nls import SIGMOID_D2_SUP, SIGMOID_D3_SUP
 from mestcert.numkit import solve_linear

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mestcert import InvalidInputError, SingularMatrixError, fd_jacobian, op_norm, solve_linear
+from finite_differences import fd_jacobian
+
+from mestcert import InvalidInputError, SingularMatrixError, op_norm, solve_linear
 from mestcert.numkit import _refined_solve, lu_factorization
 
 
