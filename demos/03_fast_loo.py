@@ -3,9 +3,10 @@ Certified approximate leave-one-out
 ===================================
 
 Leave-one-out cross-validation classically costs n refits. The one-step
-approximation costs one Hessian factorization plus n solves, and each fold
-comes with a deterministic deviation bound, so you know fold by fold how
-far the shortcut can be from the exact refit.
+approximation costs one Hessian factorization plus one multi-right-hand-side
+solve shared by all n folds, and each fold comes with a deterministic
+deviation bound, so you know fold by fold how far the shortcut can be from
+the exact refit.
 """
 
 import time

@@ -116,6 +116,13 @@ def _row_terms(data, family, theta, order):
                                         dtype=float)
 
 
+def _curvature_ratio(family, gaps):
+    """``family.cbound`` at ``gaps`` as a float array. An overflow reads as
+    ``inf`` (a failed curvature condition), not as a warning."""
+    with np.errstate(over="ignore"):
+        return np.asarray(family.cbound(gaps), dtype=float)
+
+
 def objective(data, family, theta):
     """Average weighted loss at ``theta``."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -201,7 +208,7 @@ def certify(data, family, theta0, q_ref=None):
     dlt = 1.5 * float(np.linalg.norm(step_emp))
 
     row_norms = np.linalg.norm(data.X, axis=1)
-    max_c = float(np.max(np.asarray(family.cbound(row_norms * dlt), dtype=float)))
+    max_c = float(np.max(_curvature_ratio(family, row_norms * dlt)))
     ok = max_c <= CONDITION_LIMIT
     bound_emp = (max_c - 1.0) * dlt
 
@@ -257,7 +264,7 @@ def hessian_holder_constant(data, family, theta0):
 
     def l_at(radius):
         gaps = row_norms * radius
-        cvals = np.asarray(family.cbound(gaps), dtype=float)
+        cvals = _curvature_ratio(family, gaps)
         return hinv_norm * float(np.sum(base * (cvals - 1.0))) / radius
 
     r = 1e-3

@@ -15,8 +15,25 @@ Leave-one/k-out
     certifies, whenever its denominator is positive and ``cbound(1.5
     delta_I ||X_i||) <= 4/3`` for all retained rows, that the true reduced
     root differs from the approximation by at most ``1.5 delta_I
-    (max_c - 1 + n^-1 ||Qhat^-1 sum_I hess_i||_op)``. One Hessian
-    factorization serves every index set.
+    (max_c - 1 + n^-1 ||Qhat^-1 sum_I hess_i||_op)``. A denominator within
+    rounding of zero (at most ``1e-12``) counts as collapsed: the set then
+    carries a whole direction of the curvature and nothing is certified.
+
+    One batched kernel serves every index set. One Hessian factorization
+    and one multi-right-hand-side solve give the rows ``Qhat^-1 x_i``, from
+    which every shift is a weighted sum. With ``hess_i = c_i x_i x_i^T`` a
+    singleton's curvature term is rank one,
+
+        ||Qhat^-1 x_i x_i^T c_i||_op = |c_i| ||x_i|| ||Qhat^-1 x_i||,
+
+    and for ``|I| = k > 1`` it is the norm of the k x k core ``R_A R_B^T``
+    from thin QRs of ``A = Qhat^-1 X_I^T`` and ``B = X_I^T diag(c_I)``;
+    sets are batched by size in chunks of bounded memory. ``cbound`` is
+    nondecreasing (the :class:`~mestcert.losses.LossFamily` contract, which
+    custom families are grid-checked against), so the maximum over the
+    retained rows is ``cbound`` at the largest retained row norm, the first
+    of the k+1 largest norms that ``I`` does not delete. An all-singleton
+    sweep thus costs ``O(n p^2 + p^3)``, with no ``O(n)`` work per fold.
 
 Marginal screening
     Each coordinate is certified through its one-dimensional submodel; the
@@ -43,19 +60,25 @@ import numpy as np
 
 from . import glm
 from .errors import ConvergenceError, InvalidInputError, SingularMatrixError
-from .numkit import lu_factorization, op_norm
+from .numkit import lu_factorization
 
 #: tolerance on ||score(theta_hat)|| for accepting a root input
 ROOT_SCORE_TOL = 1e-8
 #: root tolerance of the exact refits and the submodel fits
 FIT_TOL = 1e-12
+#: leverage denominators up to this count as collapsed: a set that carries
+#: a whole direction of the curvature has denominator zero, which rounding
+#: puts a few ulps to either side
+_DENOM_FLOOR = 1e-12
+#: element budget of one chunk of same-size index sets in the deletion kernel
+_CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
 class LooEntry:
     """One-step deletion result for one index set.
 
-    ``certified`` requires a positive leverage denominator and the
+    ``certified`` requires a leverage denominator above ``1e-12`` and the
     curvature check on retained rows; only then does ``deviation_bound``
     cover ``||exact refit - approx_estimate||``. ``exact_estimate`` is
     filled when an oracle refit was requested.
@@ -115,8 +138,9 @@ class PosiReport:
 
 
 class _DeletionContext:
-    """Shared full-data quantities for a deletion sweep: per-row gradient
-    and curvature pieces plus one factorization of the full Hessian."""
+    """Shared full-data quantities for a deletion sweep: the per-row
+    gradient and curvature terms, the rows ``Qhat^-1 x_i`` from one
+    multi-right-hand-side solve, and the rows ordered by norm."""
 
     def __init__(self, data, family, theta_hat):
         theta_hat = np.asarray(theta_hat, dtype=float)
@@ -126,41 +150,69 @@ class _DeletionContext:
                 f"theta_hat is not a root of the full-data score "
                 f"(||score|| = {score_norm:.3e} > {ROOT_SCORE_TOL:.0e}); "
                 f"fit first")
-        self.data = data
+        self.X = data.X
         self.family = family
         self.theta_hat = theta_hat
         self.n = data.n_obs
-        self.grad_rows = data.X * glm._row_terms(data, family, theta_hat,
-                                                 1)[:, None]
-        self.curv_rows = glm._row_terms(data, family, theta_hat, 2)
+        self.grad_terms = glm._row_terms(data, family, theta_hat, 1)
+        self.curv_terms = glm._row_terms(data, family, theta_hat, 2)
         self.row_norms = np.linalg.norm(data.X, axis=1)
-        self.qhat_solve = lu_factorization(glm.hessian(data, family, theta_hat))
+        self.by_norm = np.argsort(-self.row_norms, kind="stable")
+        qhat_solve = lu_factorization(glm.hessian(data, family, theta_hat))
+        self.lever = np.ascontiguousarray(qhat_solve(data.X.T).T)
 
-    def entry(self, index_set):
-        idx = _check_index_set(index_set, self.n)
-        sub = np.asarray(idx, dtype=int)
-        grad_sum = self.grad_rows[sub].sum(axis=0)
-        x_i = self.data.X[sub]
-        hess_sum = x_i.T @ (x_i * self.curv_rows[sub, None])
+    def entries(self, sets):
+        """One :class:`LooEntry` per validated index tuple, in the given
+        order; sets of one size go through the kernel in bounded chunks."""
+        out = [None] * len(sets)
+        sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+        for k in np.unique(sizes).tolist():
+            positions = np.flatnonzero(sizes == k).tolist()
+            step = max(1, _CHUNK_ELEMENTS // (k * self.X.shape[1]))
+            for lo in range(0, len(positions), step):
+                part = positions[lo:lo + step]
+                for pos, entry in zip(part, self._chunk_entries(
+                        [sets[pos] for pos in part])):
+                    out[pos] = entry
+        return out
 
-        shift = self.qhat_solve(grad_sum) / self.n
-        approx = self.theta_hat + shift
-        curv_op = op_norm(self.qhat_solve(hess_sum)) / self.n
+    def _chunk_entries(self, chunk):
+        rows = np.array(chunk, dtype=np.intp)  # (m, k)
+        m, k = rows.shape
+        n = self.n
+        lever = self.lever[rows]  # (m, k, p): Qhat^-1 x_i per deleted row
+        shift = (lever * self.grad_terms[rows][:, :, None]).sum(axis=1) / n
+        if k == 1:
+            # rank one: ||Qhat^-1 x_i x_i^T c_i||_op
+            #           = |c_i| ||x_i|| ||Qhat^-1 x_i||
+            i = rows[:, 0]
+            curv_op = (np.abs(self.curv_terms[i]) * self.row_norms[i]
+                       * np.linalg.norm(lever[:, 0], axis=1)) / n
+        else:
+            # ||A B^T||_op with A = Qhat^-1 X_I^T and B = X_I^T diag(c_I) is
+            # the norm of the k x k core R_A R_B^T of their thin QRs
+            r_a = np.linalg.qr(lever.transpose(0, 2, 1), mode="r")
+            b = self.X[rows] * self.curv_terms[rows][:, :, None]
+            r_b = np.linalg.qr(b.transpose(0, 2, 1), mode="r")
+            core = r_a @ r_b.transpose(0, 2, 1)
+            curv_op = np.linalg.svd(core, compute_uv=False)[:, 0] / n
         denom = 1.0 - curv_op
-
-        if denom <= 0.0:
-            return LooEntry(indices=idx, approx_estimate=approx,
-                            delta_i=np.inf, certified=False,
-                            deviation_bound=np.inf)
-        delta_i = float(np.linalg.norm(shift)) / denom
-        keep = np.ones(self.n, dtype=bool)
-        keep[sub] = False
-        max_c = float(np.max(np.asarray(self.family.cbound(
-            1.5 * delta_i * self.row_norms[keep]), dtype=float)))
+        ok = denom > _DENOM_FLOOR
+        delta = np.full(m, np.inf)
+        delta[ok] = np.linalg.norm(shift[ok], axis=1) / denom[ok]
+        # cbound is nondecreasing, so its maximum over the retained rows sits
+        # at the largest retained norm: the first of the top k+1 rows that
+        # the set does not delete
+        top = self.by_norm[:k + 1]
+        hit = (rows[:, :, None] == top).any(axis=1)
+        max_norm = self.row_norms[top[np.argmin(hit, axis=1)]]
+        max_c = np.full(m, np.inf)
+        max_c[ok] = glm._curvature_ratio(self.family,
+                                         1.5 * delta[ok] * max_norm[ok])
         certified = max_c <= glm.CONDITION_LIMIT
-        bound = 1.5 * delta_i * (max_c - 1.0 + curv_op)
-        return LooEntry(indices=idx, approx_estimate=approx, delta_i=delta_i,
-                        certified=certified, deviation_bound=bound)
+        bound = 1.5 * delta * (max_c - 1.0 + curv_op)
+        return list(map(LooEntry, chunk, self.theta_hat + shift,
+                        delta.tolist(), certified.tolist(), bound.tolist()))
 
 
 def _check_index_set(index_set, n):
@@ -183,7 +235,7 @@ def loo_approx(data, family, theta_hat, index_set):
     ``ROOT_SCORE_TOL``. Never raises on a failed certificate condition; see
     :class:`LooEntry`."""
     ctx = _DeletionContext(data, family, theta_hat)
-    return ctx.entry(index_set)
+    return ctx.entries([_check_index_set(index_set, data.n_obs)])[0]
 
 
 def loo_exact(data, family, index_set, tol=FIT_TOL, init=None, max_iter=200):
@@ -200,7 +252,8 @@ def loo_exact(data, family, index_set, tol=FIT_TOL, init=None, max_iter=200):
 
 
 def loo_sweep(data, family, theta_hat, index_sets=None, exact=False):
-    """Deletion sweep sharing one Hessian factorization across index sets.
+    """Deletion sweep sharing one Hessian factorization and one batched
+    kernel across index sets.
 
     ``index_sets=None`` sweeps all singletons. Entries are ordered by their
     sorted index tuple. With ``exact=True`` each entry also carries the
@@ -211,13 +264,11 @@ def loo_sweep(data, family, theta_hat, index_sets=None, exact=False):
         sets = [(i,) for i in range(data.n_obs)]
     else:
         sets = sorted({_check_index_set(s, data.n_obs) for s in index_sets})
-    entries = []
-    for idx in sets:
-        e = ctx.entry(idx)
-        if exact:
-            e = replace(e, exact_estimate=loo_exact(
-                data, family, idx, tol=FIT_TOL, init=ctx.theta_hat))
-        entries.append(e)
+    entries = ctx.entries(sets)
+    if exact:
+        entries = [replace(e, exact_estimate=loo_exact(
+            data, family, e.indices, tol=FIT_TOL, init=ctx.theta_hat))
+            for e in entries]
     return LooReport(theta_hat=ctx.theta_hat, entries=entries)
 
 

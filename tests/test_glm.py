@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,20 @@ class TestCertify:
         with pytest.raises(SingularMatrixError):
             certify(Dataset(X=[[1.0], [1.0]], y=[0.0, 1.0]), SQ, [0.0],
                     q_ref=[[0.0]])
+
+    def test_overflowing_curvature_bound_is_uncertified_not_a_warning(self):
+        # exp(3 * ||X_i|| * delta) overflows far from the root: the
+        # condition reads as failed (infinite), with no RuntimeWarning
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(200, 3))
+        y = (rng.uniform(size=200) < 0.5).astype(float)
+        data = Dataset(X=x, y=y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = certify(data, make_family("logistic"), np.full(3, 5.0))
+        assert not cert.condition_ok
+        assert cert.condition_max_c == np.inf
+        assert cert.expansion_bound_empirical == np.inf
 
 
 BRACKET_KINDS = ("squared", "logistic", "poisson", "negbinomial")

@@ -1,10 +1,16 @@
+import warnings
+
+import loo_reference as ref
 import numpy as np
 import pytest
 from conftest import gen_glm_instance
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mestcert import (Dataset, InvalidInputError, SingularMatrixError,
-                      loo_approx, loo_exact, loo_sweep, make_family,
-                      posi_sweep, screen_marginal)
+from mestcert import (ConvergenceError, Dataset, InvalidInputError,
+                      SingularMatrixError, combine_families, loo_approx,
+                      loo_exact, loo_sweep, make_family, posi_sweep,
+                      screen_marginal)
 from mestcert import certify, fit, hessian
 from mestcert.numkit import op_norm
 
@@ -123,6 +129,121 @@ class TestLooSoundness:
         data, _ = gen_glm_instance("squared", 10, 2, seed=609)
         with pytest.raises(SingularMatrixError):
             loo_exact(data, SQ, tuple(range(9)))  # one row left, p = 2
+
+
+def _tilt(row):
+    return 1.0 + 0.5 * np.tanh(row[0])
+
+
+class TestLooOverflow:
+    def test_overflowing_fold_is_uncertified_not_a_warning(self):
+        # a far-reaching fold overflows exp(3 * 1.5 * delta_I * ||X_i||):
+        # it reads as uncertified with an infinite bound, with no
+        # RuntimeWarning
+        data, _ = gen_glm_instance("logistic", 60, 20, seed=5)
+        fam = make_family("logistic", weight=_tilt)
+        theta_hat = fit(data, fam, tol=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = loo_sweep(data, fam, theta_hat)
+        overflowed = [e for e in report.entries if np.isfinite(e.delta_i)
+                      and e.deviation_bound == np.inf]
+        assert overflowed
+        assert not any(e.certified for e in overflowed)
+
+
+def _logcosh_family(weight):
+    # l(u, y) = log cosh(u - y): sech^2(s) / sech^2(t) <= exp(2 |s - t|)
+    return make_family(
+        "custom",
+        eval0=lambda u, y: np.logaddexp(u - y, y - u) - np.log(2.0),
+        eval1=lambda u, y: np.tanh(u - y),
+        eval2=lambda u, y: 1.0 / np.cosh(u - y) ** 2,
+        cbound=lambda u: np.exp(2.0 * np.asarray(u, dtype=float)),
+        weight=weight)
+
+
+@st.composite
+def deletion_cases(draw):
+    """A dataset, a family and a list of index sets of mixed sizes.
+
+    Families: the built-ins, a combined family and a custom one, with or
+    without row weights. Rows may tie for the largest norm (sign flips of
+    the max-norm row keep its norm bit for bit), and a block of one or two
+    rows may alone carry an extra direction, so that deleting the block
+    collapses the leverage denominator. The sets include the max-norm row,
+    the top k rows, the collapsing block and random sets of sizes 1-5.
+    """
+    kind = draw(st.sampled_from(["squared", "logistic", "poisson", "combine",
+                                 "custom"]))
+    n = draw(st.integers(8, 60))
+    p = draw(st.integers(1, 4))
+    ties = draw(st.integers(0, 3))
+    block = draw(st.sampled_from([0, 1, 2]))
+    weight = _tilt if draw(st.booleans()) else None
+    scale = draw(st.sampled_from([0.3, 1.0, 2.0]))
+    all_singletons = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    x = rng.normal(size=(n, p)) * scale / np.sqrt(p)
+    top = int(np.argmax(np.linalg.norm(x, axis=1)))
+    for j in range(1, ties + 1):
+        x[(top + j) % n] = x[top] * rng.choice([-1.0, 1.0], size=p)
+    u = x @ (rng.normal(size=p) * 0.5)
+    if kind in ("logistic", "combine"):
+        y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-u))).astype(float)
+    elif kind == "poisson":
+        y = rng.poisson(np.exp(u)).astype(float)
+    else:
+        y = u + rng.normal(size=n)
+    if block:
+        # a root exists in the extra direction: y = 1/2 for one row, 0 and
+        # 1 for two
+        x = np.block([[x, np.zeros((n, 1))],
+                      [np.zeros((block, p)), np.full((block, 1), scale)]])
+        y = np.concatenate([y, [0.5] if block == 1 else [0.0, 1.0]])
+    data = Dataset(X=x, y=y)
+    if kind == "combine":
+        family = combine_families(1.0, make_family("logistic", weight=weight),
+                                  0.5, make_family("poisson", weight=weight))
+    elif kind == "custom":
+        family = _logcosh_family(weight)
+    else:
+        family = make_family(kind, weight=weight)
+
+    rows = data.n_obs
+    by_norm = np.argsort(-np.linalg.norm(x, axis=1), kind="stable")
+    sets = [tuple(by_norm[:k]) for k in (1, 2, 3)]
+    sets += [(i,) for i in range(rows)] if all_singletons else []
+    sets += [tuple(rng.choice(rows, size=draw(st.integers(1, 5)),
+                              replace=False))
+             for _ in range(draw(st.integers(1, 12)))]
+    if block:
+        sets.append(tuple(range(n, rows)))
+    return data, family, sets
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(deletion_cases())
+def test_kernel_matches_reference_property(case):
+    data, family, sets = case
+    try:
+        theta_hat = fit(data, family, tol=1e-12)
+    except (ConvergenceError, SingularMatrixError):
+        assume(False)
+    report = loo_sweep(data, family, theta_hat, index_sets=sets)
+    expected = ref.loo_entries(data, family, theta_hat,
+                               sorted({tuple(sorted(s)) for s in sets}))
+    assert len(report.entries) == len(expected)
+    scale = 1.0 + np.linalg.norm(theta_hat)
+    for got, want in zip(report.entries, expected):
+        assert got.indices == want.indices
+        np.testing.assert_allclose(got.approx_estimate, want.approx_estimate,
+                                   rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(got.delta_i, want.delta_i, rtol=1e-9)
+        np.testing.assert_allclose(got.deviation_bound, want.deviation_bound,
+                                   rtol=1e-9)
+        assert got.certified == want.certified
 
 
 class TestScreenMarginal:
