@@ -18,6 +18,12 @@ becomes a covariate, in header order. Survival data additionally carries
 number per line (for kkt: ``beta``, or ``beta`` followed by ``nu``). Row and
 column indices on the command line and in reports are 1-based.
 
+Data and matrix CSVs are parsed in bulk by numpy's C reader. A file it might
+read differently from a ``float()`` per cell (a quoted, blank, non-numeric
+or non-finite cell, a ragged row) is parsed again cell by cell, and that
+loop names the offending row and column; the files accepted, the values
+read and every error message are those of the cell loop.
+
 Reports are JSON with every float printed to 17 significant digits, so a
 rerun on identical inputs is byte-identical and parsing recovers the exact
 doubles. Non-finite values (e.g. an uncertified infinite envelope) are
@@ -35,8 +41,10 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from collections import namedtuple
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -63,43 +71,10 @@ def read_csv(path):
     carry it too but only ``time``/``status`` are used); the remaining
     columns form the design matrix in header order. Non-numeric or
     non-finite cells are rejected with their row and column named (rows are
-    1-based file rows, header included).
+    counted from 1 over the non-blank rows, header included).
     """
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
-    if not rows:
-        raise MestcertError(f"{path}: file is empty")
-    header = [h.strip() for h in rows[0]]
-    if len(set(header)) != len(header):
-        raise MestcertError(f"{path}: duplicate column names in header")
+    header, values = _read_table(path, _check_header)
     survival = "time" in header and "status" in header
-    if ("time" in header) != ("status" in header):
-        raise MestcertError(
-            f"{path}: survival data needs both 'time' and 'status' columns")
-    if "y" not in header:
-        raise MestcertError(f"{path}: required column 'y' is missing")
-    if len(rows) == 1:
-        raise MestcertError(f"{path}: no data rows")
-
-    ncol = len(header)
-    values = np.empty((len(rows) - 1, ncol))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != ncol:
-            raise MestcertError(
-                f"{path}: row {i} has {len(row)} cells, expected {ncol}")
-        for j, cell in enumerate(row):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise MestcertError(
-                    f"{path}: non-numeric cell at row {i}, column "
-                    f"'{header[j]}': {cell.strip()!r}") from None
-            if not math.isfinite(v):
-                raise MestcertError(
-                    f"{path}: non-finite cell at row {i}, column "
-                    f"'{header[j]}': {cell.strip()!r}")
-            values[i - 2, j] = v
-
     # y is always required and never a covariate; survival files ignore it.
     special = {"y", "time", "status"} if survival else {"y"}
     x_cols = [j for j, h in enumerate(header) if h not in special]
@@ -116,15 +91,113 @@ def read_csv(path):
 
 
 def read_matrix(path):
-    """Headerless numeric CSV into a 2-d array."""
+    """Headerless numeric CSV into a 2-d array. Non-finite cells are read
+    as such (the caller rejects them); a non-numeric cell or a row of the
+    wrong length is rejected with its row named."""
+    return _read_table(path)[1]
+
+
+def _check_header(path, header):
+    """Reject a data CSV header that :func:`read_csv` cannot use."""
+    if len(set(header)) != len(header):
+        raise MestcertError(f"{path}: duplicate column names in header")
+    if ("time" in header) != ("status" in header):
+        raise MestcertError(
+            f"{path}: survival data needs both 'time' and 'status' columns")
+    if "y" not in header:
+        raise MestcertError(f"{path}: required column 'y' is missing")
+
+
+def _read_table(path, check_header=None):
+    """``(header, values)`` of a CSV: with ``check_header`` the first
+    non-blank row is a header, checked by it, and every cell must be finite;
+    without, the header is None and non-finite cells are kept. ``values`` is
+    a C-ordered ``(rows, columns)`` float table; blank rows are skipped.
+
+    The numeric block is parsed in bulk; on any doubt the cell loop parses
+    the file again, so the same files are accepted with the same values and
+    every error is the cell loop's."""
+    try:
+        table = _bulk_table(path, check_header)
+    except Exception:
+        table = None
+    return table if table is not None else _cell_table(path, check_header)
+
+
+#: ASCII separators that numpy strips around a cell as whitespace but
+#: ``float()`` rejects
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _bulk_table(path, check_header):
+    """:func:`_read_table` through numpy's C reader, streamed from the open
+    file; None where its result might differ from the cell loop's.
+
+    ``np.loadtxt`` converts a cell with the same C routine as ``float()``,
+    and a cell that the loop reads but it does not (a quoted cell,
+    underscores, non-ASCII digits) makes it raise. It also strips the ASCII
+    separators around a cell, so a file holding one is left to the loop."""
+    with open(path, "rb") as fh:
+        for chunk in iter(partial(fh.read, 1 << 18), b""):
+            if any(sep in chunk for sep in _NUMPY_ONLY_SPACE):
+                return None
+    with open(path, newline="") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. "input contained no data"
+        header = None
+        if check_header is not None:
+            first = fh.readline()
+            if '"' in first:  # a quoted cell may run on over later lines
+                return None
+            # a blank leading row, which the loop skips, has no 'y' and fails
+            header = [h.strip() for h in next(csv.reader([first]))]
+            check_header(path, header)
+        values = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None,
+                            ndmin=2)
+    wrong_width = header is not None and values.shape[1] != len(header)
+    if wrong_width or not np.isfinite(values).all():
+        return None
+    return header, values
+
+
+def _cell_table(path, check_header):
+    """:func:`_read_table` one ``float()`` per cell; it names the first bad
+    row or cell (rows are counted from 1 over the non-blank rows, header
+    included)."""
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if any(c.strip() for c in r)]
+        rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
     if not rows:
         raise MestcertError(f"{path}: file is empty")
-    try:
-        return np.asarray([[float(c) for c in r] for r in rows])
-    except ValueError as exc:
-        raise MestcertError(f"{path}: non-numeric cell ({exc})") from None
+    header = None
+    if check_header is None:
+        columns = [str(j) for j in range(1, len(rows[0]) + 1)]
+        first = 1
+    else:
+        header = [h.strip() for h in rows.pop(0)]
+        check_header(path, header)
+        if not rows:
+            raise MestcertError(f"{path}: no data rows")
+        columns = [f"'{h}'" for h in header]
+        first = 2
+
+    ncol = len(columns)
+    values = np.empty((len(rows), ncol))
+    for i, row in enumerate(rows, start=first):
+        if len(row) != ncol:
+            raise MestcertError(
+                f"{path}: row {i} has {len(row)} cells, expected {ncol}")
+        for j, cell in enumerate(row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise MestcertError(
+                    f"{path}: non-numeric cell at row {i}, column "
+                    f"{columns[j]}: {cell.strip()!r}") from None
+            if header is not None and not math.isfinite(v):
+                raise MestcertError(
+                    f"{path}: non-finite cell at row {i}, column "
+                    f"{columns[j]}: {cell.strip()!r}")
+            values[i - first, j] = v
+    return header, values
 
 
 def read_vector(path):
@@ -141,7 +214,7 @@ def read_vector(path):
 
 def parse_index_spec(spec, n):
     """Comma/range syntax like ``1,4-7`` into a 0-based index tuple."""
-    out = []
+    spans = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
@@ -154,18 +227,21 @@ def parse_index_spec(spec, n):
                 raise MestcertError(f"bad index range {part!r}") from None
             if lo_i > hi_i:
                 raise MestcertError(f"empty index range {part!r}")
-            out.extend(range(lo_i, hi_i + 1))
+            spans.append((lo_i, hi_i))
         else:
             try:
-                out.append(int(part))
+                spans.append((int(part),) * 2)
             except ValueError:
                 raise MestcertError(f"bad index {part!r}") from None
-    if not out:
+    if not spans:
         raise MestcertError(f"empty subset spec {spec!r}")
-    for i in out:
-        if i < 1 or i > n:
-            raise MestcertError(f"index {i} out of range 1..{n}")
-    return tuple(sorted(set(i - 1 for i in out)))
+    for lo, hi in spans:
+        # the first index out of range, in listed order; a range is checked
+        # by its ends, so a huge one is not expanded before it is rejected
+        bad = lo if not 1 <= lo <= n else n + 1 if hi > n else None
+        if bad is not None:
+            raise MestcertError(f"index {bad} out of range 1..{n}")
+    return tuple(sorted(set().union(*(range(lo - 1, hi) for lo, hi in spans))))
 
 
 def read_models(path, p):
@@ -191,17 +267,17 @@ def dump_json(obj):
 
 
 def _write_json(obj, out):
-    if obj is None:
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        out.append(format(v, ".17g") if math.isfinite(v) else "null")
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        out.append(format(v, ".17g") if math.isfinite(v) else "null")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(_json_str(obj))
     elif isinstance(obj, np.ndarray):
         _write_json(obj.tolist(), out)
     elif isinstance(obj, dict):
@@ -209,10 +285,17 @@ def _write_json(obj, out):
         for k, (key, val) in enumerate(obj.items()):
             if k:
                 out.append(",")
-            _write_json(str(key), out)
+            out.append(_json_str(str(key)))
             out.append(":")
             _write_json(val, out)
         out.append("}")
+    elif isinstance(obj, list) and obj and all(type(v) is float for v in obj):
+        # e.g. ndarray.tolist(): one join; "n" only shows up in inf and nan
+        text = ",".join(map(format, obj, repeat(".17g")))
+        if "n" in text:
+            text = ",".join(format(v, ".17g") if math.isfinite(v) else "null"
+                            for v in obj)
+        out.append(f"[{text}]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for k, val in enumerate(obj):
@@ -224,6 +307,15 @@ def _write_json(obj, out):
         _write_json(_fields(obj), out)
     else:
         raise MestcertError(f"cannot serialize {type(obj).__name__}")
+
+
+def _json_str(text):
+    """``json.dumps(text, ensure_ascii=False)``, without the call for plain
+    printable ASCII (such as every report key), which it leaves as is."""
+    if text.isascii() and text.isprintable() and '"' not in text \
+            and "\\" not in text:
+        return f'"{text}"'
+    return json.dumps(text, ensure_ascii=False)
 
 
 def _fields(obj):

@@ -150,11 +150,35 @@ class TestSpecParsing:
         with pytest.raises(MestcertError):
             parse_index_spec("5-2", 5)
 
+    def test_huge_range_rejected_by_its_ends(self):
+        # the range is not expanded first: 10**11 indices would not fit
+        with pytest.raises(MestcertError,
+                           match=r"^index 6 out of range 1\.\.5$"):
+            parse_index_spec("2,1-99999999999", 5)
+        with pytest.raises(MestcertError, match=r"^index 0 out of range"):
+            parse_index_spec("0-99999999999", 5)
+
     def test_matrix_and_vector_files(self, tmp_path):
         mpath = write(tmp_path, "m.csv", "1.0,0.0\n0.0,2.0\n")
         np.testing.assert_allclose(read_matrix(mpath), [[1, 0], [0, 2]])
         vpath = write(tmp_path, "v.txt", "1.0\n-2.5\n")
         np.testing.assert_allclose(read_vector(vpath), [1.0, -2.5])
+
+    def test_ragged_matrix_names_the_row(self, tmp_path):
+        path = write(tmp_path, "m.csv", "1,2\n3\n")
+        with pytest.raises(MestcertError) as info:
+            read_matrix(path)
+        assert str(info.value) == f"{path}: row 2 has 1 cells, expected 2"
+
+    def test_non_finite_q_ref_is_read_and_rejected_downstream(self, ols_csv,
+                                                              tmp_path):
+        path = write(tmp_path, "q.csv", "1,nan\n0,1\n")
+        assert np.isnan(read_matrix(path)[0, 1])
+        code, payload = run_cli(["certify", ols_csv, "--q-ref", path],
+                                tmp_path)
+        assert code == 2
+        assert json.loads(payload) == {
+            "error": "q_ref contains non-finite entries"}
 
 
 class TestDumpJson:

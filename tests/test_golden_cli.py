@@ -5,13 +5,18 @@ The inputs under ``tests/golden/inputs`` are small seeded CSV and text files;
 fixtures were made, followed by a line with the exit code. Both were written
 by this module's ``__main__`` block:
 
-    PYTHONPATH=src python tests/test_golden_cli.py
+    PYTHONPATH=src python tests/test_golden_cli.py [CASE ...]
 
 run before the four damped-Newton loops of ``glm.fit``, ``fit_cox``,
 ``fit_nls`` and ``kkt_solve`` were merged into ``numkit.damped_newton`` and
 the certificate reports were serialized from dataclass fields. A refactor
 that keeps the arithmetic must keep these bytes; a change that moves the
 last bits on purpose regenerates them with the same command and says so.
+Naming cases writes only their reports (a new case is added that way).
+
+Every case runs from ``INPUTS`` with file names as given in ``CASES``, so a
+report that names an input file (an error message) holds the same bytes on
+every machine.
 """
 
 import os
@@ -58,23 +63,25 @@ CASES = {
                               "--constraints", "cons.csv", "--target",
                               "zeros"],
     "certify-survival-rejected": ["certify", "surv.csv"],
+    # a non-numeric cell in the last row: the bulk parser leaves the file to
+    # the cell loop, which names the cell
+    "certify-bad-cell": ["certify", "logit-bad-cell.csv", "--family",
+                         "logistic"],
+    "certify-qref-ragged": ["certify", "logit.csv", "--family", "logistic",
+                            "--target", "target.txt", "--q-ref",
+                            "q_ref_ragged.csv"],
 }
-
-_FILE_FLAGS = ("--target", "--q-ref", "--models", "--constraints")
-
-
-def _argv(case):
-    argv = list(CASES[case])
-    argv[1] = os.path.join(INPUTS, argv[1])
-    for k in range(2, len(argv) - 1):
-        value = os.path.join(INPUTS, argv[k + 1])
-        if argv[k] in _FILE_FLAGS and os.path.exists(value):
-            argv[k + 1] = value
-    return argv
 
 
 def _run(case, out_path):
-    code = main(_argv(case) + ["--out", out_path])
+    """The report bytes of ``case`` and its exit code, run from ``INPUTS``;
+    ``out_path`` must be absolute."""
+    cwd = os.getcwd()
+    os.chdir(INPUTS)
+    try:
+        code = main(CASES[case] + ["--out", out_path])
+    finally:
+        os.chdir(cwd)
     with open(out_path, "rb") as fh:
         return fh.read() + f"exit {code}\n".encode()
 
@@ -137,11 +144,24 @@ def _write_inputs():
     with open(os.path.join(INPUTS, "cons.csv"), "w") as fh:
         fh.write("1,1,1,0.5\n")
 
+    # the logistic data with its last cell made non-numeric, and q_ref with
+    # its second row one cell short
+    with open(os.path.join(INPUTS, "logit.csv")) as fh:
+        rows = fh.read().splitlines()
+    rows[-1] = rows[-1].rpartition(",")[0] + ",n/a"
+    with open(os.path.join(INPUTS, "logit-bad-cell.csv"), "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+    with open(os.path.join(INPUTS, "q_ref.csv")) as fh:
+        rows = fh.read().splitlines()
+    rows[1] = rows[1].rpartition(",")[0]
+    with open(os.path.join(INPUTS, "q_ref_ragged.csv"), "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+
 
 if __name__ == "__main__":
     _write_inputs()
     scratch = os.path.join(GOLDEN, "_out.json")
-    for name in sorted(CASES):
+    for name in sys.argv[1:] or sorted(CASES):
         report = _run(name, scratch)
         with open(os.path.join(GOLDEN, f"{name}.json"), "wb") as fh:
             fh.write(report)
