@@ -13,10 +13,10 @@ kkt           equality-constrained solve plus expansion certificate
 
 Data CSVs need a header with a ``y`` column; every other numeric column
 becomes a covariate, in header order. Survival data additionally carries
-``time`` and ``status`` (0/1) columns. Matrix files (``--q-ref``,
-``--constraints``) are headerless numeric CSVs; target files hold one
-number per line (for kkt: ``beta``, or ``beta`` followed by ``nu``). Row and
-column indices on the command line and in reports are 1-based.
+``time`` and ``status`` (0/1) columns. Matrix files (certify's ``--q-ref``,
+``--constraints``) are headerless numeric CSVs; vector files (``--target``,
+screen's ``--q-ref``) hold numbers split by whitespace or commas (for kkt:
+``beta``, or ``beta`` then ``nu``). Indices are 1-based, as in reports.
 
 Data and matrix CSVs are parsed in bulk by numpy's C reader. A file it might
 read differently from a ``float()`` per cell (a quoted, blank, non-numeric
@@ -162,9 +162,17 @@ def _bulk_table(path, check_header):
 def _cell_table(path, check_header):
     """:func:`_read_table` one ``float()`` per cell; it names the first bad
     row or cell (rows are counted from 1 over the non-blank rows, header
-    included)."""
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
+    included). It reads cells of any length, as the bulk path does."""
+    rows, limit = [], csv.field_size_limit(sys.maxsize)
+    try:
+        with open(path, newline="") as fh:
+            for row in csv.reader(fh):
+                if any(cell.strip() for cell in row):
+                    rows.append(row)
+    except csv.Error as exc:
+        raise MestcertError(f"{path}: row {len(rows) + 1}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
     if not rows:
         raise MestcertError(f"{path}: file is empty")
     header = None
@@ -521,7 +529,8 @@ def build_parser():
         p.add_argument("--target",
                        help="'zeros', 'plug-in', or a vector file "
                             "(default depends on the command)")
-        p.add_argument("--q-ref", help="reference Hessian as headerless CSV")
+        p.add_argument("--q-ref", help="certify: reference Hessian CSV; "
+                       "screen: vector file, one curvature per covariate")
         p.add_argument("--tol", type=float,
                        help="root tolerance of the fits (default: 1e-10)")
         p.add_argument("--subsets", action="append", default=None,

@@ -131,16 +131,16 @@ def kkt_solve(grad, hess, a, b, init=None, tol=1e-10, max_iter=100):
                 f"init has beta length {beta.shape[0]} / nu length "
                 f"{nu.shape[0]}, expected {p} / {d}")
 
-    def residual(x):
+    def evaluate(x):  # the stacked residual; no objective
         dual = np.asarray(grad(x[:p]), dtype=float) + a.T @ x[p:]
-        return dual, a @ x[:p] - b
+        return (dual, a @ x[:p] - b), None
 
     def newton_step(x, r):
         k = kkt_matrix(np.asarray(hess(x[:p]), dtype=float), a)
         return -solve_linear(k, np.concatenate(r))
 
     x, (dual, primal) = damped_newton(
-        np.concatenate([beta, nu]), residual, newton_step, tol, max_iter,
+        np.concatenate([beta, nu]), evaluate, newton_step, tol, max_iter,
         norm=lambda r: (np.linalg.norm(r[0]), np.linalg.norm(r[1])))
     return KktPoint(beta=x[:p], nu=x[p:],
                     primal_residual=float(np.linalg.norm(primal)),

@@ -352,10 +352,9 @@ def fit_cox(data, init=None, tol=1e-10, max_iter=100):
     """Partial-likelihood root by damped Newton (oracle-quality plumbing)."""
     beta = (np.zeros(data.n_features) if init is None
             else as_parameter(init, data.n_features, "beta").copy())
-    return damped_newton(beta, lambda b: cox_score(data, b),
-                         lambda b, z: -solve_linear(cox_jacobian(data, b), z),
-                         tol, max_iter,
-                         objective=lambda b: cox_objective(data, b))[0]
+    return damped_newton(
+        beta, lambda b: (cox_score(data, b), cox_objective(data, b)),
+        lambda b, z: -solve_linear(cox_jacobian(data, b), z), tol, max_iter)[0]
 
 
 def softmax_ratio_check(weights, a, s, t):

@@ -174,10 +174,9 @@ def fit(data, family, init=None, tol=1e-10, max_iter=100):
                     "(e.g. separable classification data)") from None
             raise
 
-    return damped_newton(theta, lambda t: score(data, family, t), newton_step,
-                         tol, max_iter,
-                         objective=lambda t: objective(data, family, t),
-                         step_tol=np.sqrt(float(tol)))[0]
+    return damped_newton(
+        theta, lambda t: (score(data, family, t), objective(data, family, t)),
+        newton_step, tol, max_iter, step_tol=np.sqrt(float(tol)))[0]
 
 
 def certify(data, family, theta0, q_ref=None):

@@ -43,7 +43,7 @@ import numpy as np
 
 from .losses import sigmoid
 from .numkit import (_refined_solve, as_parameter, damped_newton,
-                     lu_factorization, op_norm, solve_linear)
+                     lu_factorization, op_norm, row_weights, solve_linear)
 
 #: exact sup of |sigma''| over the reals, nudged up for float safety
 SIGMOID_D2_SUP = math.nextafter(math.sqrt(3.0) / 18.0, math.inf)
@@ -178,9 +178,7 @@ def _nls_constants(data, link, theta0, hsolve):
     r = data.y - np.asarray(link.g(u), dtype=float)
     gp_abs = np.abs(np.asarray(link.g1(u), dtype=float))
     gpp_abs = np.abs(np.asarray(link.g2(u), dtype=float))
-    c0 = np.asarray([float(link.c0(row)) for row in data.X])
-    c1 = np.asarray([float(link.c1(row)) for row in data.X])
-    c2 = np.asarray([float(link.c2(row)) for row in data.X])
+    c0, c1, c2 = (row_weights(c, data.X) for c in (link.c0, link.c1, link.c2))
 
     def norm_of(coefs):
         if not np.any(coefs):
@@ -248,6 +246,6 @@ def fit_nls(data, link, init, tol=1e-10, max_iter=200):
     """
     theta = as_parameter(init, data.n_features).copy()
     return damped_newton(
-        theta, lambda t: nls_grad(data, link, t),
+        theta, lambda t: (nls_grad(data, link, t), None),
         lambda t, grad: -solve_linear(nls_hess(data, link, t), grad),
         tol, max_iter)[0]

@@ -14,8 +14,8 @@ pins down the numerical contract of the whole package:
 
 ``damped_newton`` is the one iterative loop of the package: ``glm.fit``,
 ``cox.fit_cox``, ``nls.fit_nls`` and ``constrained.kkt_solve`` each hand it
-a residual, a Newton step and a line-search rule. Certificates never
-iterate.
+a Newton step and one callback giving the residual and objective at a point,
+which it calls once per point. Certificates never iterate.
 
 Matrices are plain 2-d ``numpy`` arrays in row-major order, vectors are 1-d
 arrays. Sparse and complex inputs are out of scope.
@@ -40,21 +40,19 @@ MAX_HALVINGS = 50
 
 def as_matrix(a, name="matrix"):
     """Validate and return ``a`` as a finite 2-d float array."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise InvalidInputError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
-    if m.size == 0:
-        raise InvalidInputError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return m
+    return _as_array(a, 2, name)
 
 
 def as_vector(v, name="vector"):
     """Validate and return ``v`` as a finite 1-d float array."""
-    x = np.asarray(v, dtype=float)
-    if x.ndim != 1:
-        raise InvalidInputError(f"{name} must be 1-dimensional, got ndim={x.ndim}")
+    return _as_array(v, 1, name)
+
+
+def _as_array(a, ndim, name):
+    x = np.asarray(a, dtype=float)
+    if x.ndim != ndim:
+        raise InvalidInputError(
+            f"{name} must be {ndim}-dimensional, got ndim={x.ndim}")
     if x.size == 0:
         raise InvalidInputError(f"{name} must be non-empty")
     if not np.all(np.isfinite(x)):
@@ -72,13 +70,13 @@ def as_parameter(v, size, name="theta"):
 
 
 def row_weights(fn, x):
-    """Evaluate a per-row weight callback on each row of ``x``; ``None``
-    means unit weights. Negative or non-finite weights are rejected."""
+    """A per-row callback (a weight, a link constant) at each row of ``x``;
+    ``None`` means ones. Negative or non-finite values are rejected."""
     if fn is None:
         return np.ones(x.shape[0])
     w = np.asarray([float(fn(row)) for row in x])
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise InvalidInputError("weight function produced negative or "
+        raise InvalidInputError("per-row function produced negative or "
                                 "non-finite values")
     return w
 
@@ -201,19 +199,20 @@ def _factor(a):
     return a, solve
 
 
-def damped_newton(x, residual, newton_step, tol, max_iter, objective=None,
+def damped_newton(x, evaluate, newton_step, tol, max_iter,
                   norm=np.linalg.norm, step_tol=None):
-    """Find a root of ``residual`` by Newton steps with step halving.
+    """Find a root of a residual by Newton steps with step halving.
 
-    Each iteration evaluates ``r = residual(x)`` and ``step = newton_step(x,
-    r)``, then halves the step up to 50 times until the line-search rule
-    accepts ``x + t * step``:
+    ``evaluate(x)`` gives the residual ``r`` and objective ``f`` (None if
+    there is none) at ``x``, once per point: an accepted candidate's pair
+    serves the next iteration. Each iteration halves ``step = newton_step(x,
+    r)`` up to 50 times until the line-search rule accepts ``x + t * step``:
 
-    * with ``objective``, the objective must not increase; a candidate
-      whose objective rose but stayed finite is still accepted when its
-      residual is smaller (near the root the decrease of the objective
-      drops below float resolution);
-    * without it, the residual must shrink strictly.
+    * with an objective, it must not increase; a candidate whose objective
+      rose but stayed finite is still accepted when its residual is smaller
+      (near the root the decrease of the objective drops below float
+      resolution);
+    * without one, the residual must shrink strictly.
 
     ``norm(r)`` is the size of the residual, or a sequence with the sizes
     of its blocks: the iteration stops once every block is at most ``tol``,
@@ -228,8 +227,8 @@ def damped_newton(x, residual, newton_step, tol, max_iter, objective=None,
     ``max_iter`` iterations end without a root.
     """
     tol = float(tol)
+    r, f = evaluate(x)
     for _ in range(int(max_iter)):
-        r = residual(x)
         done, size = _sizes(norm(r), tol)
         if done and step_tol is None:
             return x, r
@@ -237,25 +236,21 @@ def damped_newton(x, residual, newton_step, tol, max_iter, objective=None,
         if done and float(np.linalg.norm(step)) <= \
                 step_tol * (1.0 + float(np.linalg.norm(x))):
             return x, r
-        f0 = None if objective is None else objective(x)
-        t = 1.0
-        for _ in range(MAX_HALVINGS):
-            cand = x + t * step
+        for k in range(MAX_HALVINGS):
+            cand = x + 0.5 ** k * step  # t = 2^-k, exact in floating point
             with np.errstate(over="ignore", invalid="ignore"):
-                f1 = None if objective is None else objective(cand)
-                accept = f1 is not None and np.isfinite(f1) and f1 <= f0
+                r1, f1 = evaluate(cand)
+                accept = f1 is not None and np.isfinite(f1) and f1 <= f
                 if not accept and (f1 is None or np.isfinite(f1)):
-                    new = _sizes(norm(residual(cand)), tol)[1]
+                    new = _sizes(norm(r1), tol)[1]
                     accept = np.isfinite(new) and new < size
             if accept:
-                x = cand
+                x, r, f = cand, r1, f1
                 break
-            t *= 0.5
         else:
             raise ConvergenceError(
                 f"line search stalled: {MAX_HALVINGS} step halvings found no "
                 f"acceptable point (residual norm {size:.3g})", residual=size)
-    r = residual(x)
     done, size = _sizes(norm(r), tol)
     if done and step_tol is None:  # with step_tol the step test is missing
         return x, r

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -133,6 +134,38 @@ class TestReadCsv:
         path = write(tmp_path, "t.csv", "y,x1,x1\n1,2,3\n")
         with pytest.raises(MestcertError, match="duplicate"):
             read_csv(path)
+
+    # a cell longer than csv's default field limit (131072 characters); the
+    # quoted "3" sends the file through the cell loop
+    LONG_NUMBER = "0." + "1" * 139998
+
+    def test_long_cell_read_like_the_bulk_path(self, tmp_path):
+        limit = csv.field_size_limit()
+        looped = read_csv(write(tmp_path, "a.csv",
+                                f'y,x1\n1,{self.LONG_NUMBER}\n2,"3"\n'))
+        bulk = read_csv(write(tmp_path, "b.csv",
+                              f"y,x1\n1,{self.LONG_NUMBER}\n2,3\n"))
+        assert looped.X.tobytes() == bulk.X.tobytes()
+        assert looped.X[0, 0] == float(self.LONG_NUMBER) != 0.0
+        assert csv.field_size_limit() == limit
+
+    def test_long_non_numeric_cell_exits_2(self, tmp_path):
+        path = write(tmp_path, "t.csv",
+                     "y,x1\n1," + "a" * 140000 + '\n2,"3"\n')
+        code, payload = run_cli(["fit", path], tmp_path)
+        assert code == 2
+        assert (f"{path}: non-numeric cell at row 2, column 'x1'"
+                in json.loads(payload)["error"])
+
+    def test_csv_error_names_the_row(self, tmp_path, monkeypatch):
+        def reader(fh):
+            yield ["y", "x1"]
+            raise csv.Error("bad row")
+        monkeypatch.setattr(csv, "reader", reader)
+        path = write(tmp_path, "t.csv", "y,x1\n")
+        code, payload = run_cli(["fit", path], tmp_path)
+        assert code == 2
+        assert json.loads(payload) == {"error": f"{path}: row 2: bad row"}
 
 
 class TestSpecParsing:

@@ -49,6 +49,10 @@ CASES = {
     "screen-plugin": ["screen", "logit.csv", "--family", "logistic"],
     "screen-zeros-squared": ["screen", "ols.csv", "--family", "squared",
                              "--target", "zeros"],
+    # screen's references are one curvature scalar per covariate, in a
+    # vector file (not certify's matrix CSV)
+    "screen-qref": ["screen", "logit.csv", "--family", "logistic", "--q-ref",
+                    "q_ref_screen.txt"],
     "posi-exact": ["posi", "logit.csv", "--family", "logistic", "--models",
                    "models.txt", "--exact"],
     "cox-certify-zeros": ["cox-certify", "surv.csv"],
@@ -139,6 +143,8 @@ def _write_inputs():
     with open(os.path.join(INPUTS, "q_ref.csv"), "w") as fh:
         fh.writelines(",".join(format(v, ".17g") for v in row) + "\n"
                       for row in q_ref)
+    with open(os.path.join(INPUTS, "q_ref_screen.txt"), "w") as fh:
+        fh.write("0.2 0.19 0.21\n")  # the diagonal of q_ref
     with open(os.path.join(INPUTS, "models.txt"), "w") as fh:
         fh.write("1,2\n1-3\n3\n")
     with open(os.path.join(INPUTS, "cons.csv"), "w") as fh:

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from finite_differences import fd_jacobian
 
-from mestcert import (ConvergenceError, Dataset, LinkSpec, certify_nls,
-                      fit_nls, identity_link, logistic_link, make_family,
-                      nls_constants, nls_grad, nls_hess, nls_objective,
-                      op_norm, variation_modulus)
+from mestcert import (ConvergenceError, Dataset, InvalidInputError, LinkSpec,
+                      certify_nls, fit_nls, identity_link, logistic_link,
+                      make_family, nls_constants, nls_grad, nls_hess,
+                      nls_objective, op_norm, variation_modulus)
 from mestcert import certify as glm_certify
 from mestcert.nls import SIGMOID_D2_SUP, SIGMOID_D3_SUP
-from mestcert.numkit import solve_linear
+from mestcert.numkit import lu_factorization, solve_linear
 
 LINK = logistic_link()
 
@@ -136,6 +136,44 @@ class TestConstants:
             sampled = op_norm(np.linalg.solve(h0, h - h0))
             assert sampled <= variation_modulus(consts, LINK.alpha, r) \
                 * (1 + 1e-9) + 1e-14
+
+    @staticmethod
+    def custom_link(**constants):
+        """The logistic link with per-row constants replaced."""
+        parts = {"c0": lambda x: 0.3 * abs(x[0]) + 0.1,
+                 "c1": lambda x: 0.2 * float(np.linalg.norm(x)),
+                 "c2": lambda x: 0.5 * abs(x[1]), **constants}
+        return LinkSpec(g=LINK.g, g1=LINK.g1, g2=LINK.g2, alpha=1.0, **parts)
+
+    def test_custom_link_constants(self):
+        data = gen_nls_instance(40, 2, seed=411)
+        link = self.custom_link()
+        theta0 = np.array([0.4, -0.2])
+        u = data.X @ theta0
+        r = np.abs(data.y - LINK.g(u))
+        c0, c1, c2 = (np.array([float(c(row)) for row in data.X])
+                      for c in (link.c0, link.c1, link.c2))
+        hsolve = lu_factorization(nls_hess(data, link, theta0))
+
+        def norm_of(coefs):
+            return op_norm(hsolve((2.0 / 40) * (data.X.T @ (
+                data.X * coefs[:, None]))))
+
+        expected = (norm_of(c1 * c1), norm_of(c0 * c2),
+                    norm_of(2.0 * c1 * np.abs(LINK.g1(u))
+                            + c0 * np.abs(LINK.g2(u))),
+                    norm_of(c2 * r))
+        assert nls_constants(data, link, theta0).as_tuple() == expected
+
+    @pytest.mark.parametrize("name, value", [
+        ("c0", np.inf), ("c1", np.nan), ("c2", -0.5)])
+    def test_negative_or_non_finite_link_constant_rejected(self, name, value):
+        data = gen_nls_instance(20, 2, seed=412)
+        link = self.custom_link(**{name: lambda x: value})
+        with pytest.raises(InvalidInputError, match="negative or non-finite"):
+            nls_constants(data, link, np.zeros(2))
+        with pytest.raises(InvalidInputError, match="negative or non-finite"):
+            certify_nls(data, link, np.zeros(2))
 
     def test_modulus_monotone(self):
         data = gen_nls_instance(40, 2, seed=410)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import gen_glm_instance, gen_survival_instance
 from finite_differences import fd_jacobian
 
-from mestcert import InvalidInputError, SingularMatrixError, op_norm, solve_linear
+from mestcert import (Dataset, InvalidInputError, SingularMatrixError, cox,
+                      glm, kkt_solve, nls, op_norm, solve_linear)
 from mestcert.numkit import _refined_solve, lu_factorization
 
 
@@ -151,3 +153,58 @@ class TestFdJacobian:
 
         with pytest.raises(RuntimeError):
             fd_jacobian(bad, np.array([1.0]), 1e-5)
+
+
+class TestDampedNewtonEvaluatesEachPointOnce:
+    """The fitters hand ``damped_newton`` one evaluate callback, and the
+    accepted candidate's residual and objective serve the next iteration, so
+    no residual or objective callback sees the same point twice."""
+
+    @staticmethod
+    def recorder(fn, points):
+        def recorded(*args):
+            points.append(np.asarray(args[-1], dtype=float).tobytes())
+            return fn(*args)
+        return recorded
+
+    def record(self, monkeypatch, module, *names):
+        seen = {name: [] for name in names}
+        for name in names:
+            monkeypatch.setattr(module, name,
+                                self.recorder(getattr(module, name), seen[name]))
+        return seen
+
+    @staticmethod
+    def assert_each_point_once(seen):
+        for name, points in seen.items():
+            assert len(points) >= 4, name  # several Newton iterations ran
+            assert len(set(points)) == len(points), name
+
+    def test_glm_fit(self, monkeypatch):
+        data, family = gen_glm_instance("logistic", 200, 3, seed=9100)
+        seen = self.record(monkeypatch, glm, "score", "objective")
+        glm.fit(data, family)
+        self.assert_each_point_once(seen)
+
+    def test_fit_cox(self, monkeypatch):
+        data = gen_survival_instance(80, 3, seed=9101)
+        seen = self.record(monkeypatch, cox, "cox_score", "cox_objective")
+        cox.fit_cox(data)
+        self.assert_each_point_once(seen)
+
+    def test_fit_nls(self, monkeypatch):
+        rng = np.random.default_rng(9102)
+        x = rng.normal(size=(60, 2))
+        y = 1.0 / (1.0 + np.exp(-(x @ np.array([1.2, -0.7]))))
+        data = Dataset(X=x, y=y + 0.05 * rng.normal(size=60))
+        seen = self.record(monkeypatch, nls, "nls_grad")
+        nls.fit_nls(data, nls.logistic_link(), np.zeros(2))
+        self.assert_each_point_once(seen)
+
+    def test_kkt_solve(self):
+        data, family = gen_glm_instance("poisson", 150, 3, seed=9103)
+        points = []
+        grad = self.recorder(lambda b: glm.score(data, family, b), points)
+        kkt_solve(grad, lambda b: glm.hessian(data, family, b),
+                  np.ones((1, 3)), np.array([0.5]))
+        self.assert_each_point_once({"grad": points})
