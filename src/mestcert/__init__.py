@@ -9,6 +9,8 @@ submodel sweeps. Nothing here is probabilistic: every claim is a finite
 computation on the data at hand.
 """
 
+import types
+
 from .certify import (ExpansionCertificate, RootCertificate,
                       contraction_certificate, newton_step_certificate)
 from .constrained import (ConstrainedCertificate, KktPoint,
@@ -33,67 +35,8 @@ from .resample import (LooEntry, LooReport, PosiModel, PosiReport,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstrainedCertificate",
-    "ConvergenceError",
-    "CoxCertificate",
-    "Dataset",
-    "DegenerateRiskSetError",
-    "ExpansionCertificate",
-    "GlmCertificate",
-    "InfeasiblePointError",
-    "InvalidInputError",
-    "KktPoint",
-    "LinkSpec",
-    "LooEntry",
-    "LooReport",
-    "LossFamily",
-    "MestcertError",
-    "MuProfile",
-    "NlsCertificate",
-    "NlsConstants",
-    "PosiModel",
-    "PosiReport",
-    "RankDeficientError",
-    "RootCertificate",
-    "ScreenCoordinate",
-    "ScreenReport",
-    "SingularMatrixError",
-    "SurvivalDataset",
-    "certify",
-    "certify_constrained",
-    "certify_cox",
-    "certify_nls",
-    "combine_families",
-    "contraction_certificate",
-    "cox_jacobian",
-    "cox_objective",
-    "cox_score",
-    "delta",
-    "fit",
-    "fit_cox",
-    "fit_nls",
-    "hessian",
-    "hessian_holder_constant",
-    "identity_link",
-    "kkt_solve",
-    "least_squares_multiplier",
-    "logistic_link",
-    "loo_approx",
-    "loo_exact",
-    "loo_sweep",
-    "make_family",
-    "mu_profile",
-    "newton_step_certificate",
-    "nls_constants",
-    "nls_grad",
-    "nls_hess",
-    "nls_objective",
-    "op_norm",
-    "posi_sweep",
-    "score",
-    "screen_marginal",
-    "softmax_ratio_check",
-    "solve_linear",
-    "variation_modulus",
-]
+#: every public name imported above (the function ``certify`` shadows the
+#: submodule of that name); the submodules themselves are left out
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, types.ModuleType))

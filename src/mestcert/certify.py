@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numkit import (_refined_solve, as_matrix, as_vector, lu_factorization,
-                     op_norm, solve_linear)
+from .numkit import (as_matrix, as_vector, lu_factorization, op_norm,
+                     solve_linear)
 
 #: slack applied to the center self-check of a contraction certificate
 _CENTER_CHECK_RTOL = 1e-12
@@ -115,7 +115,7 @@ def contraction_certificate(f, jac, a_matrix, theta0, radius, variation_bound):
             f"variation bound must be finite and nonnegative, got {eps}")
 
     a_solve = lu_factorization(a)
-    step = _refined_solve(a, a_solve, np.asarray(f(theta0), dtype=float))
+    step = a_solve(as_vector(f(theta0), "right-hand side"))
     step_norm = float(np.linalg.norm(step))
 
     def reject(reason):

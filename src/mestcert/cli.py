@@ -21,7 +21,8 @@ screen's ``--q-ref``) hold numbers split by whitespace or commas (for kkt:
 Data and matrix CSVs are parsed in bulk by numpy's C reader. A file it might
 read differently from a ``float()`` per cell (a quoted, blank, non-numeric
 or non-finite cell, a ragged row) is parsed again cell by cell, and that
-loop names the offending row and column; the files accepted, the values
+loop names the offending row (by its line in the file) and column, and
+quotes at most 40 characters of a bad cell; the files accepted, the values
 read and every error message are those of the cell loop.
 
 Reports are JSON with every float printed to 17 significant digits, so a
@@ -70,8 +71,8 @@ def read_csv(path):
     The first row is the header; a ``y`` column is required (survival files
     carry it too but only ``time``/``status`` are used); the remaining
     columns form the design matrix in header order. Non-numeric or
-    non-finite cells are rejected with their row and column named (rows are
-    counted from 1 over the non-blank rows, header included).
+    non-finite cells are rejected with their row and column named (a row by
+    its 1-based line in the file) and their first 40 characters quoted.
     """
     header, values = _read_table(path, _check_header)
     survival = "time" in header and "status" in header
@@ -112,7 +113,8 @@ def _read_table(path, check_header=None):
     """``(header, values)`` of a CSV: with ``check_header`` the first
     non-blank row is a header, checked by it, and every cell must be finite;
     without, the header is None and non-finite cells are kept. ``values`` is
-    a C-ordered ``(rows, columns)`` float table; blank rows are skipped.
+    a C-ordered ``(rows, columns)`` float table; blank rows are skipped, and
+    errors name a row by its line in the file.
 
     The numeric block is parsed in bulk; on any doubt the cell loop parses
     the file again, so the same files are accepted with the same values and
@@ -127,6 +129,8 @@ def _read_table(path, check_header=None):
 #: ASCII separators that numpy strips around a cell as whitespace but
 #: ``float()`` rejects
 _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+#: characters of a cell's text an error message quotes (then its length)
+_QUOTE_LIMIT = 40
 
 
 def _bulk_table(path, check_header):
@@ -161,50 +165,54 @@ def _bulk_table(path, check_header):
 
 def _cell_table(path, check_header):
     """:func:`_read_table` one ``float()`` per cell; it names the first bad
-    row or cell (rows are counted from 1 over the non-blank rows, header
-    included). It reads cells of any length, as the bulk path does."""
-    rows, limit = [], csv.field_size_limit(sys.maxsize)
+    row or cell, a row by its 1-based line in the file (the first line of a
+    record whose quoted cell runs over several). It reads cells of any
+    length, as the bulk path does."""
+    rows, line, limit = [], 0, csv.field_size_limit(sys.maxsize)
     try:
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if any(cell.strip() for cell in row):
-                    rows.append(row)
+                    rows.append((line + 1, row))
+                line = reader.line_num
     except csv.Error as exc:
-        raise MestcertError(f"{path}: row {len(rows) + 1}: {exc}") from None
+        raise MestcertError(f"{path}: row {line + 1}: {exc}") from None
     finally:
         csv.field_size_limit(limit)
     if not rows:
         raise MestcertError(f"{path}: file is empty")
     header = None
     if check_header is None:
-        columns = [str(j) for j in range(1, len(rows[0]) + 1)]
-        first = 1
+        columns = [str(j) for j in range(1, len(rows[0][1]) + 1)]
     else:
-        header = [h.strip() for h in rows.pop(0)]
+        header = [h.strip() for h in rows.pop(0)[1]]
         check_header(path, header)
         if not rows:
             raise MestcertError(f"{path}: no data rows")
         columns = [f"'{h}'" for h in header]
-        first = 2
 
     ncol = len(columns)
     values = np.empty((len(rows), ncol))
-    for i, row in enumerate(rows, start=first):
+    for k, (line, row) in enumerate(rows):
         if len(row) != ncol:
             raise MestcertError(
-                f"{path}: row {i} has {len(row)} cells, expected {ncol}")
+                f"{path}: row {line} has {len(row)} cells, expected {ncol}")
         for j, cell in enumerate(row):
             try:
                 v = float(cell)
+                kind = ("non-finite" if header is not None
+                        and not math.isfinite(v) else None)
             except ValueError:
+                kind = "non-numeric"
+            if kind is not None:
+                text = cell.strip()
+                cut = (f"... ({len(text)} characters)"
+                       if len(text) > _QUOTE_LIMIT else "")
                 raise MestcertError(
-                    f"{path}: non-numeric cell at row {i}, column "
-                    f"{columns[j]}: {cell.strip()!r}") from None
-            if header is not None and not math.isfinite(v):
-                raise MestcertError(
-                    f"{path}: non-finite cell at row {i}, column "
-                    f"{columns[j]}: {cell.strip()!r}")
-            values[i - first, j] = v
+                    f"{path}: {kind} cell at row {line}, column {columns[j]}: "
+                    f"{text[:_QUOTE_LIMIT]!r}{cut}")
+            values[k, j] = v
     return header, values
 
 

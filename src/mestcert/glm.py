@@ -141,9 +141,8 @@ def hessian(data, family, theta):
 
 
 def delta(data, family, theta0):
-    """Certified radius ``1.5 ||Qhat(theta0)^-1 Zhat(theta0)||_2``."""
-    return 1.5 * float(np.linalg.norm(
-        solve_linear(hessian(data, family, theta0), score(data, family, theta0))))
+    """Certified radius ``1.5 ||Qhat^-1 Zhat||_2`` of :func:`certify`."""
+    return certify(data, family, theta0).delta
 
 
 def fit(data, family, init=None, tol=1e-10, max_iter=100):

@@ -42,8 +42,8 @@ from typing import Callable
 import numpy as np
 
 from .losses import sigmoid
-from .numkit import (_refined_solve, as_parameter, damped_newton,
-                     lu_factorization, op_norm, row_weights, solve_linear)
+from .numkit import (as_parameter, damped_newton, lu_factorization, op_norm,
+                     row_weights, solve_linear)
 
 #: exact sup of |sigma''| over the reals, nudged up for float safety
 SIGMOID_D2_SUP = math.nextafter(math.sqrt(3.0) / 18.0, math.inf)
@@ -213,9 +213,8 @@ def certify_nls(data, link, theta0):
     """
     theta0 = as_parameter(theta0, data.n_features)
     grad = nls_grad(data, link, theta0)
-    h0 = nls_hess(data, link, theta0)
-    hsolve = lu_factorization(h0)
-    step = -_refined_solve(h0, hsolve, grad)
+    hsolve = lu_factorization(nls_hess(data, link, theta0))
+    step = -hsolve(grad)
     dlt = 1.5 * float(np.linalg.norm(step))
 
     consts = _nls_constants(data, link, theta0, hsolve)

@@ -44,15 +44,17 @@ Marginal screening
 Submodel sweeps
     A list of column subsets is certified model by model; the report states
     whether the curvature condition held uniformly over the list. The
-    caller supplies the list explicitly (with a hard cap): enumerating all
-    subsets of a given size is combinatorially hopeless and deliberately
-    unsupported.
+    caller supplies the list explicitly, at most ``POSI_CAP`` distinct
+    models: enumerating all subsets of a given size is combinatorially
+    hopeless and deliberately unsupported.
 
 Throughout, targets are caller-supplied or plug-in roots; the library never
-estimates population quantities. Report entries are ordered by sorted key
-so output is deterministic.
+estimates population quantities. Index sets and submodels take distinct
+0-based integer indices (a float is rejected, not truncated). Report
+entries are ordered by sorted key so output is deterministic.
 """
 
+import operator
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -66,6 +68,10 @@ from .numkit import lu_factorization
 ROOT_SCORE_TOL = 1e-8
 #: root tolerance of the exact refits and the submodel fits
 FIT_TOL = 1e-12
+#: iteration budget of an exact deletion refit
+REFIT_MAX_ITER = 200
+#: most distinct submodels one posi_sweep certifies
+POSI_CAP = 10000
 #: leverage denominators up to this count as collapsed: a set that carries
 #: a whole direction of the curvature has denominator zero, which rounding
 #: puts a few ulps to either side
@@ -215,15 +221,25 @@ class _DeletionContext:
                         delta.tolist(), certified.tolist(), bound.tolist()))
 
 
-def _check_index_set(index_set, n):
-    idx = tuple(sorted(int(i) for i in index_set))
-    if len(idx) == 0:
-        raise InvalidInputError("index set must be nonempty")
-    if len(set(idx)) != len(idx):
-        raise InvalidInputError(f"index set has duplicates: {idx}")
-    if idx[0] < 0 or idx[-1] >= n:
+def _index_tuple(entries, n, name, unit):
+    """``entries`` as a sorted tuple of distinct indices into ``n`` rows or
+    columns (``unit``); ``name`` says what the set is in error messages."""
+    try:
+        idx = tuple(sorted(map(operator.index, entries)))
+    except TypeError as exc:
         raise InvalidInputError(
-            f"index set {idx} out of range for {n} observations")
+            f"{name} entries must be integers ({exc})") from None
+    if len(idx) == 0:
+        raise InvalidInputError(f"{name} must be nonempty")
+    if len(set(idx)) != len(idx):
+        raise InvalidInputError(f"{name} has duplicates: {idx}")
+    if idx[0] < 0 or idx[-1] >= n:
+        raise InvalidInputError(f"{name} {idx} out of range for {n} {unit}")
+    return idx
+
+
+def _check_index_set(index_set, n):
+    idx = _index_tuple(index_set, n, "index set", "observations")
     if len(idx) >= n:
         raise InvalidInputError("cannot delete every observation")
     return idx
@@ -231,15 +247,15 @@ def _check_index_set(index_set, n):
 
 def loo_approx(data, family, theta_hat, index_set):
     """One-step deletion estimate and certified deviation bound for one
-    index set. ``theta_hat`` must solve the full-data score equation to
-    ``ROOT_SCORE_TOL``. Never raises on a failed certificate condition; see
-    :class:`LooEntry`."""
-    ctx = _DeletionContext(data, family, theta_hat)
-    return ctx.entries([_check_index_set(index_set, data.n_obs)])[0]
+    index set, as :func:`loo_sweep` gives it. ``theta_hat`` must solve the
+    full-data score equation to ``ROOT_SCORE_TOL``. Never raises on a failed
+    certificate condition; see :class:`LooEntry`."""
+    return loo_sweep(data, family, theta_hat, [index_set]).entries[0]
 
 
-def loo_exact(data, family, index_set, tol=FIT_TOL, init=None, max_iter=200):
-    """Oracle refit on the retained rows (no approximation).
+def loo_exact(data, family, index_set, init=None):
+    """Oracle refit on the retained rows (no approximation), to ``FIT_TOL``
+    within ``REFIT_MAX_ITER`` iterations.
 
     Non-convergent or degenerate reduced problems raise, e.g. deleting all
     but a handful of rows can leave a singular design.
@@ -247,8 +263,8 @@ def loo_exact(data, family, index_set, tol=FIT_TOL, init=None, max_iter=200):
     idx = _check_index_set(index_set, data.n_obs)
     keep = np.ones(data.n_obs, dtype=bool)
     keep[list(idx)] = False
-    return glm.fit(data.subset_rows(keep), family, init=init, tol=tol,
-                   max_iter=max_iter)
+    return glm.fit(data.subset_rows(keep), family, init=init, tol=FIT_TOL,
+                   max_iter=REFIT_MAX_ITER)
 
 
 def loo_sweep(data, family, theta_hat, index_sets=None, exact=False):
@@ -267,8 +283,7 @@ def loo_sweep(data, family, theta_hat, index_sets=None, exact=False):
     entries = ctx.entries(sets)
     if exact:
         entries = [replace(e, exact_estimate=loo_exact(
-            data, family, e.indices, tol=FIT_TOL, init=ctx.theta_hat))
-            for e in entries]
+            data, family, e.indices, init=ctx.theta_hat)) for e in entries]
     return LooReport(theta_hat=ctx.theta_hat, entries=entries)
 
 
@@ -342,15 +357,14 @@ def screen_marginal(data, family, targets="plug-in", q_refs=None):
                         q_source="plug-in" if q_refs is None else "reference")
 
 
-def posi_sweep(data, family, models, targets="plug-in", cap=10000,
-               exact=False):
+def posi_sweep(data, family, models, targets="plug-in", exact=False):
     """Certify a list of column-subset submodels.
 
     Parameters
     ----------
     models : iterable of iterables of int
         Column index sets (0-based). Duplicates are removed silently; the
-        deduplicated list must stay within ``cap``.
+        deduplicated list must stay within ``POSI_CAP``.
     targets : "plug-in" or mapping
         Per-model target vectors keyed by the sorted index tuple, or
         plug-in roots (fitted to ``FIT_TOL``).
@@ -363,22 +377,12 @@ def posi_sweep(data, family, models, targets="plug-in", cap=10000,
         Models ordered by their index tuple; ``uniform_condition_ok`` is the
         conjunction of every per-model curvature condition.
     """
-    p = data.n_features
-    keys = set()
-    for m in models:
-        key = tuple(sorted(int(j) for j in m))
-        if len(key) == 0:
-            raise InvalidInputError("submodels must be nonempty")
-        if len(set(key)) != len(key):
-            raise InvalidInputError(f"submodel has duplicate columns: {key}")
-        if key[0] < 0 or key[-1] >= p:
-            raise InvalidInputError(
-                f"submodel {key} out of range for {p} columns")
-        keys.add(key)
-    if len(keys) > cap:
+    keys = {_index_tuple(m, data.n_features, "submodel", "columns")
+            for m in models}
+    if len(keys) > POSI_CAP:
         raise InvalidInputError(
-            f"{len(keys)} submodels exceed the cap of {cap}; pass an "
-            f"explicit smaller list or raise cap=")
+            f"{len(keys)} submodels exceed the cap of {POSI_CAP}; pass an "
+            f"explicit smaller list")
     plug_in = isinstance(targets, str)
     if plug_in and targets != "plug-in":
         raise InvalidInputError(f"unknown target spec {targets!r}")

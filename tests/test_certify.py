@@ -218,3 +218,18 @@ class TestZeroModulusAgreement:
         assert contraction.bracket_lo == pytest.approx(newton.step_norm, rel=1e-12)
         assert contraction.bracket_hi == pytest.approx(newton.step_norm, rel=1e-12)
         assert newton.remainder_bound == 0.0
+
+
+def test_public_names():
+    # __all__ is derived from the package imports: every public function and
+    # class, no submodule, and ``certify`` is the GLM certificate
+    import types
+
+    import mestcert
+    from mestcert import glm
+    values = [getattr(mestcert, name) for name in mestcert.__all__]
+    assert not any(isinstance(v, types.ModuleType) for v in values)
+    assert mestcert.certify is glm.certify
+    assert {"contraction_certificate", "loo_sweep", "solve_linear",
+            "SingularMatrixError", "certify_cox"} <= set(mestcert.__all__)
+    assert len(mestcert.__all__) == 62

@@ -154,13 +154,48 @@ class TestReadCsv:
                      "y,x1\n1," + "a" * 140000 + '\n2,"3"\n')
         code, payload = run_cli(["fit", path], tmp_path)
         assert code == 2
-        assert (f"{path}: non-numeric cell at row 2, column 'x1'"
-                in json.loads(payload)["error"])
+        assert json.loads(payload) == {"error": (
+            f"{path}: non-numeric cell at row 2, column 'x1': "
+            f"'{'a' * 40}'... (140000 characters)")}
+        assert len(payload) < len(path) + 200
+
+    def test_long_non_finite_cell_is_capped(self, tmp_path):
+        path = write(tmp_path, "t.csv", "y,x1\n1," + "9" * 400 + "\n")
+        code, payload = run_cli(["fit", path], tmp_path)
+        assert code == 2
+        assert json.loads(payload) == {"error": (
+            f"{path}: non-finite cell at row 2, column 'x1': "
+            f"'{'9' * 40}'... (400 characters)")}
+
+    def test_short_cell_quoted_in_full(self, tmp_path):
+        path = write(tmp_path, "t.csv", "y,x1\n1, " + "a" * 40 + " \n")
+        with pytest.raises(MestcertError) as err:
+            read_csv(path)
+        assert str(err.value).endswith(f": {'a' * 40!r}")
+
+    @pytest.mark.parametrize("text,message", [
+        ("y,x1\n\n1,a\n", "non-numeric cell at row 3, column 'x1': 'a'"),
+        ("y,x1\n1,2\n\n\n3,4,5\n", "row 5 has 3 cells, expected 2"),
+        ("\ny,x1\n1,inf\n", "non-finite cell at row 3, column 'x1': 'inf'"),
+        # a record over two lines is named by its first
+        ('y,x1\n1,"2\n3"\n', "non-numeric cell at row 2, column 'x1': "
+                              "'2\\n3'"),
+    ])
+    def test_errors_name_the_file_line(self, tmp_path, text, message):
+        path = write(tmp_path, "t.csv", text)
+        with pytest.raises(MestcertError) as err:
+            read_csv(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_csv_error_names_the_row(self, tmp_path, monkeypatch):
-        def reader(fh):
-            yield ["y", "x1"]
-            raise csv.Error("bad row")
+        class reader:
+            def __init__(self, fh):
+                self.line_num = 0
+
+            def __iter__(self):
+                self.line_num = 1
+                yield ["y", "x1"]
+                raise csv.Error("bad row")
         monkeypatch.setattr(csv, "reader", reader)
         path = write(tmp_path, "t.csv", "y,x1\n")
         code, payload = run_cli(["fit", path], tmp_path)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import gen_glm_instance
 
 from mestcert import (ConvergenceError, InfeasiblePointError,
                       InvalidInputError, RankDeficientError,
                       certify_constrained, hessian_holder_constant, kkt_solve,
-                      least_squares_multiplier, op_norm)
+                      least_squares_multiplier, op_norm, solve_linear)
 from mestcert import glm
 from mestcert.constrained import check_constraints
+from mestcert.numkit import solve_linear_many
 
 
 def glm_callables(data, family):
@@ -114,6 +116,25 @@ class TestCertifyConstrained:
         assert cert.remainder_bound == 0.0
         point = kkt_solve(grad, hess, a, b, tol=1e-12)
         np.testing.assert_allclose(beta0 + cert.step, point.beta, atol=1e-10)
+
+    def test_delta_solves_like_solve_linear(self):
+        # the ||H^-1 g0|| factor of delta meets solve_linear's residual
+        # contract on an ill-conditioned quadratic, where that takes a
+        # refinement step
+        rng = np.random.default_rng(508)
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        h = (q * np.geomspace(1e-10, 1.0, 3)) @ q.T
+        c = rng.normal(size=3)
+        a, b = np.array([[1.0, 1.0, 1.0]]), np.array([0.0])
+        beta0 = np.array([0.5, -0.25, -0.25])
+        cert = certify_constrained(lambda t: h @ t - c, lambda t: h, a, b,
+                                   beta0, nu0=np.array([0.3]))
+        g0 = h @ beta0 - c + 0.3
+        assert solve_linear(h, g0).tobytes() != scipy.linalg.lu_solve(
+            scipy.linalg.lu_factor(h), g0).tobytes()
+        gain = op_norm(solve_linear_many(a @ solve_linear_many(h, a.T), a))
+        assert cert.delta == 1.5 * (1.0 + gain) * float(
+            np.linalg.norm(solve_linear(h, g0)))
 
     def test_step_is_feasible_direction(self):
         data, fam = gen_glm_instance("poisson", 50, 3, seed=507)

@@ -11,7 +11,7 @@ from finite_differences import fd_jacobian
 from mestcert import (ConvergenceError, Dataset, InvalidInputError,
                       SingularMatrixError, certify, delta, fit, hessian,
                       hessian_holder_constant, loo_sweep, make_family,
-                      op_norm, score)
+                      op_norm, score, solve_linear)
 from mestcert import glm, resample
 from mestcert.cli import dump_json
 from mestcert.glm import objective
@@ -184,6 +184,18 @@ class TestCertify:
         assert cert.reference_mismatch == pytest.approx(0.0, abs=1e-12)
         assert cert.expansion_bound_reference == pytest.approx(
             cert.expansion_bound_empirical, rel=1e-9, abs=1e-15)
+
+    def test_reference_step_is_solve_linear_bitwise(self):
+        # the reference step meets solve_linear's residual contract: an
+        # ill-conditioned reference gets the same refinement step
+        data, fam = gen_glm_instance("logistic", 40, 3, seed=113)
+        theta0 = np.array([0.2, -0.1, 0.3])
+        q = np.linalg.qr(np.random.default_rng(113).normal(size=(3, 3)))[0]
+        for cond in (1e1, 1e11):
+            q_ref = (q * np.geomspace(1.0, cond, 3)) @ q.T * 0.2
+            cert = certify(data, fam, theta0, q_ref=q_ref)
+            assert cert.newton_step.tobytes() == (
+                -solve_linear(q_ref, score(data, fam, theta0))).tobytes()
 
     def test_squared_reference_bound_is_pure_mismatch(self):
         # constant curvature ratio: the reference bound reduces to

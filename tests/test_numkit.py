@@ -7,7 +7,7 @@ from finite_differences import fd_jacobian
 
 from mestcert import (Dataset, InvalidInputError, SingularMatrixError, cox,
                       glm, kkt_solve, nls, op_norm, solve_linear)
-from mestcert.numkit import _refined_solve, lu_factorization
+from mestcert.numkit import lu_factorization
 
 
 class TestOpNorm:
@@ -88,17 +88,43 @@ class TestSolveLinear:
             assert np.linalg.norm(a @ x - b) <= 1e-9 * (1 + np.linalg.norm(b))
 
 
+def _ill_conditioned(rng, cond, size=8):
+    q = np.linalg.qr(rng.normal(size=(size, size)))[0]
+    return (q * np.geomspace(1.0, cond, size)) @ q.T
+
+
 class TestRefinedSolve:
     def test_matches_solve_linear_bitwise(self):
         # covers both branches: the refinement step runs only on the
         # ill-conditioned systems
         rng = np.random.default_rng(46)
         for cond in (1e2, 1e12):
-            q = np.linalg.qr(rng.normal(size=(8, 8)))[0]
-            a = (q * np.geomspace(1.0, cond, 8)) @ q.T
+            a = _ill_conditioned(rng, cond)
             b = rng.normal(size=8)
-            assert _refined_solve(a, lu_factorization(a), b).tobytes() == \
+            assert lu_factorization(a)(b).tobytes() == \
                 solve_linear(a, b).tobytes()
+
+    def test_vector_solve_meets_the_residual_contract(self):
+        # wherever solve_linear meets ||ax - b|| <= 1e-9 (1 + ||b||), a vector
+        # solve through a kept factorization meets it too
+        rng = np.random.default_rng(47)
+        checked = 0
+        for cond in np.geomspace(1e2, 1e12, 200):
+            a = _ill_conditioned(rng, cond)
+            b = rng.normal(size=8)
+            limit = 1e-9 * (1.0 + np.linalg.norm(b))
+            if np.linalg.norm(a @ solve_linear(a, b) - b) > limit:
+                continue
+            checked += 1
+            assert np.linalg.norm(a @ lu_factorization(a)(b) - b) <= limit
+        assert checked >= 100
+
+    def test_matrix_solve_is_not_refined(self):
+        rng = np.random.default_rng(48)
+        a = _ill_conditioned(rng, 1e12)
+        b = rng.normal(size=(8, 3))
+        assert lu_factorization(a)(b).tobytes() == scipy.linalg.lu_solve(
+            scipy.linalg.lu_factor(a), b).tobytes()
 
 
 class TestLuFactorization:

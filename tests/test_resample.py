@@ -11,7 +11,7 @@ from mestcert import (ConvergenceError, Dataset, InvalidInputError,
                       SingularMatrixError, combine_families, loo_approx,
                       loo_exact, loo_sweep, make_family, posi_sweep,
                       screen_marginal)
-from mestcert import certify, fit, hessian
+from mestcert import certify, fit, hessian, resample
 from mestcert.numkit import op_norm
 
 SQ = make_family("squared")
@@ -59,6 +59,21 @@ class TestLooApprox:
         for bad in ((), (10,), (-1,), (0, 0), tuple(range(10))):
             with pytest.raises(InvalidInputError):
                 loo_approx(data, SQ, theta_hat, bad)
+
+    def test_non_integer_indices_rejected(self):
+        # a float index is an error, not truncated to the row below it
+        data, _ = gen_glm_instance("squared", 10, 1, seed=604)
+        theta_hat = fit(data, SQ, tol=1e-12)
+        for bad in ((1.7, 2.9), (np.float64(3.0),), ("1",)):
+            with pytest.raises(InvalidInputError, match="integers"):
+                loo_sweep(data, SQ, theta_hat, index_sets=[bad])
+            with pytest.raises(InvalidInputError, match="integers"):
+                loo_approx(data, SQ, theta_hat, bad)
+            with pytest.raises(InvalidInputError, match="integers"):
+                loo_exact(data, SQ, bad)
+        # numpy integers are indices
+        entry = loo_approx(data, SQ, theta_hat, (np.int64(3),))
+        assert entry.indices == (3,)
 
     def test_denominator_collapse_not_certified(self):
         # one observation carries the entire curvature of its direction:
@@ -361,10 +376,13 @@ class TestPosiSweep:
         report = posi_sweep(data, SQ, [[0], [0], (0,), [1, 0], [0, 1]])
         assert [m.indices for m in report.models] == [(0,), (0, 1)]
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         data, _ = gen_glm_instance("squared", 30, 3, seed=620)
-        with pytest.raises(InvalidInputError, match="cap"):
-            posi_sweep(data, SQ, [[0], [1], [2]], cap=2)
+        monkeypatch.setattr(resample, "POSI_CAP", 2)
+        with pytest.raises(InvalidInputError, match="cap of 2"):
+            posi_sweep(data, SQ, [[0], [1], [2]])
+        # duplicates count once
+        assert len(posi_sweep(data, SQ, [[0], [0], [1, 0], [0, 1]]).models) == 2
 
     def test_model_validation(self):
         data, _ = gen_glm_instance("squared", 30, 2, seed=621)
@@ -374,3 +392,9 @@ class TestPosiSweep:
             posi_sweep(data, SQ, [[2]])
         with pytest.raises(InvalidInputError):
             posi_sweep(data, SQ, [[0]], targets={})
+
+    def test_non_integer_columns_rejected(self):
+        data, _ = gen_glm_instance("squared", 30, 2, seed=621)
+        for bad in ([0.5, 1.2], [np.float64(1.0)]):
+            with pytest.raises(InvalidInputError, match="integers"):
+                posi_sweep(data, SQ, [bad])
