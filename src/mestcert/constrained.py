@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import _holder_arguments
 from .errors import (InfeasiblePointError, InvalidInputError,
                      RankDeficientError)
 from .numkit import (as_matrix, as_parameter, as_vector, damped_newton,
@@ -164,12 +165,7 @@ def certify_constrained(grad, hess, a, b, beta0, nu0=None,
         raise InfeasiblePointError(
             f"target violates the constraints by {violation:.3e} "
             f"(> {FEASIBILITY_TOL:.0e})")
-    holder_l = float(holder_l)
-    alpha = float(alpha)
-    if holder_l < 0.0:
-        raise InvalidInputError(f"Hoelder constant must be >= 0, got {holder_l}")
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidInputError(f"Hoelder exponent must lie in (0, 1], got {alpha}")
+    holder_l, alpha = _holder_arguments(holder_l, alpha)
 
     grad0 = np.asarray(grad(beta0), dtype=float)
     if nu0 is None:

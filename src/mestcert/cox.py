@@ -48,10 +48,9 @@ the largest covariate distance to the exponentially tilted risk-set mean.
 The certificate condition is ``sup_s mu_n(s) * delta <= 1/16`` with
 ``delta = 1.5 ||Qhat^-1 Zhat||_2``, and the one-step expansion error is
 bounded by ``8 e^{1/4} delta^2 sup_s mu_n(s)``. The max over ``i`` runs over
-*all* rows (the conservative, literal form); the per-event profile also
-reports the risk-set-restricted variant for diagnostics. ``mu_profile``
-picks each event's farthest row from a chunked Gram product and recomputes
-that row's distance from the direct difference.
+*all* rows, censored ones and rows never at risk included (the literal
+form). ``mu_profile`` picks each event's farthest row from a chunked Gram
+product and recomputes that row's distance from the direct difference.
 
 ``softmax_ratio_check`` exposes the underlying scalar inequality -- the
 second derivative of ``t -> log sum_i w_i exp(a_i t)`` moves by at most the
@@ -161,15 +160,13 @@ class CoxCertificate:
 class MuProfile:
     """Per-event-time curvature geometry at the target.
 
-    ``mu_risk_set`` restricts the distance maximum to subjects still at
-    risk; ``mu_all_rows`` is the literal all-rows maximum used by the
-    certificate (conservative: it dominates the risk-set value).
+    ``mu_all_rows[k]`` is ``mu_n`` at ``event_times[k]``: the largest
+    distance from any row to that event's tilted risk-set mean.
+    ``sup_all_rows`` is its maximum, the value the certificate reads.
     """
 
     event_times: np.ndarray
-    mu_risk_set: np.ndarray
     mu_all_rows: np.ndarray
-    sup_risk_set: float
     sup_all_rows: float
 
 
@@ -183,7 +180,6 @@ class _RiskPass(NamedTuple):
     """One sweep over the sorted risk sets, in centred coordinates."""
 
     xs: np.ndarray        # all rows, descending time, minus the centre
-    ends: np.ndarray      # risk-set size (sorted prefix length) per event
     xbar: np.ndarray      # tilted risk-set mean per event, minus the centre
     objective: float
     score: np.ndarray
@@ -267,7 +263,7 @@ def _risk_pass(data, beta, jacobian=False):
                 carry = a[lo] * np.exp(bases[b - 1] - bases[b])
         jac = ((x * (r * a)[:, None]).T @ x
                - (xbar * h1[:, None]).T @ xbar)
-    return _RiskPass(xs, ends, xbar, objective, score, jac)
+    return _RiskPass(xs, xbar, objective, score, jac)
 
 
 def cox_objective(data, beta):
@@ -293,15 +289,13 @@ def cox_jacobian(data, beta):
 
 
 def mu_profile(data, beta0):
-    """Covariate spread around the tilted risk-set means at each event time."""
+    """Largest distance from any row to each event's tilted risk-set mean."""
     beta0 = as_parameter(beta0, data.n_features, "beta")
     rp = _risk_pass(data, beta0)
-    xs, xbar, ends = rp.xs, rp.xbar, rp.ends
+    xs, xbar = rp.xs, rp.xbar
     n_obs, n_ev = xs.shape[0], xbar.shape[0]
     sq = np.einsum("ij,ij->i", xs, xs)
-    col = np.arange(n_obs)
-    mu_risk = np.empty(n_ev)
-    mu_all = np.empty(n_ev)
+    mu = np.empty(n_ev)
     step = max(1, _MU_CHUNK // n_obs)
     for lo in range(0, n_ev, step):
         hi = min(lo + step, n_ev)
@@ -312,16 +306,9 @@ def mu_profile(data, beta0):
         d2 *= -2.0
         d2 += sq
         far = np.argmax(d2, axis=1)
-        mu_all[lo:hi] = np.linalg.norm(xs[far] - xb, axis=1)
-        np.copyto(d2, -np.inf, where=col >= ends[lo:hi, None])
-        far = np.argmax(d2, axis=1)
-        mu_risk[lo:hi] = np.linalg.norm(xs[far] - xb, axis=1)
-    # every risk set is a subset of all rows: keep that order exact
-    mu_all = np.maximum(mu_all, mu_risk)
-    return MuProfile(event_times=data.time[data.event_rows],
-                     mu_risk_set=mu_risk, mu_all_rows=mu_all,
-                     sup_risk_set=float(np.max(mu_risk)),
-                     sup_all_rows=float(np.max(mu_all)))
+        mu[lo:hi] = np.linalg.norm(xs[far] - xb, axis=1)
+    return MuProfile(event_times=data.time[data.event_rows], mu_all_rows=mu,
+                     sup_all_rows=float(np.max(mu)))
 
 
 def certify_cox(data, beta0):

@@ -80,11 +80,8 @@ class LossFamily:
 def sigmoid(u):
     """Logistic function, evaluated without overflow for either sign."""
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
+    e = np.exp(-np.abs(u))
+    out = np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out if out.ndim else float(out)
 
 

@@ -116,8 +116,9 @@ def solve_linear(a, b):
     -------
     (n,) ndarray
         Solution with ``||a x - b||_2 <= 1e-9 * (1 + ||b||_2)`` for systems
-        that are not close to singular (one step of iterative refinement is
-        applied when the first solve misses that target).
+        that are not close to singular. When the first solve misses that
+        target, one step of iterative refinement is tried, and whichever of
+        the two solutions has the smaller residual is returned.
 
     Raises
     ------
@@ -149,7 +150,8 @@ def _factor(a):
     matrix, factor it with partial pivoting, reject it as singular when its
     smallest pivot falls below ``SINGULAR_PIVOT_RTOL * max|a_ij|``, and
     return the solve. A vector right-hand side gets one refinement step when
-    the residual misses ``SOLVE_RESIDUAL_RTOL * (1 + ||b||)``."""
+    the residual misses ``SOLVE_RESIDUAL_RTOL * (1 + ||b||)``; the refined
+    solution is kept only if its residual is no larger."""
     a = as_matrix(a, "coefficient matrix")
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"coefficient matrix must be square, got {a.shape}")
@@ -187,9 +189,12 @@ def _factor(a):
             raise InvalidInputError(f"illegal value in argument {-info} of getrs")
         if r.ndim == 1:  # one refinement step where the contract is missed
             resid = r - a @ x
-            if np.linalg.norm(resid) > \
-                    SOLVE_RESIDUAL_RTOL * (1.0 + np.linalg.norm(r)):
-                x = x + getrs(lu, piv, resid)[0]
+            size = np.linalg.norm(resid)
+            if size > SOLVE_RESIDUAL_RTOL * (1.0 + np.linalg.norm(r)):
+                refined = x + getrs(lu, piv, resid)[0]
+                # near singularity the step can make things worse
+                if np.linalg.norm(r - a @ refined) <= size:
+                    x = refined
         return x
 
     return solve

@@ -84,16 +84,14 @@ def jacobian(data, beta):
 
 
 def mu_profile(data, beta):
-    """``(mu_risk_set, mu_all_rows)`` per event, in ``event_order``."""
+    """``mu_all_rows`` per event, in ``event_order``: the largest distance
+    from any row, at risk or not, to the event's tilted risk-set mean."""
     beta = np.asarray(beta, dtype=float)
     _, h2 = _weights(data)
     events = event_order(data)
-    mu_risk = np.empty(events.size)
-    mu_all = np.empty(events.size)
+    mu = np.empty(events.size)
     for k, i in enumerate(events):
         active, v, _ = risk_terms(data, beta, i, h2)
         xbar = v @ data.X[active]
-        dists = np.linalg.norm(data.X - xbar, axis=1)
-        mu_risk[k] = float(np.max(dists[data.time >= data.time[i]]))
-        mu_all[k] = float(np.max(dists))
-    return mu_risk, mu_all
+        mu[k] = float(np.max(np.linalg.norm(data.X - xbar, axis=1)))
+    return mu

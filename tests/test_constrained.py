@@ -118,10 +118,10 @@ class TestCertifyConstrained:
         np.testing.assert_allclose(beta0 + cert.step, point.beta, atol=1e-10)
 
     def test_delta_solves_like_solve_linear(self):
-        # the ||H^-1 g0|| factor of delta meets solve_linear's residual
-        # contract on an ill-conditioned quadratic, where that takes a
-        # refinement step
-        rng = np.random.default_rng(508)
+        # the ||H^-1 g0|| factor of delta has solve_linear's bits on an
+        # ill-conditioned quadratic, where solve_linear keeps a refinement
+        # step (it lowers the residual about eightfold here)
+        rng = np.random.default_rng(529)
         q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         h = (q * np.geomspace(1e-10, 1.0, 3)) @ q.T
         c = rng.normal(size=3)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import pickle
 
 import cox_reference as ref
@@ -16,6 +17,9 @@ from mestcert import (ConvergenceError, DegenerateRiskSetError,
 from mestcert.cox import COX_CONDITION_LIMIT, COX_EXPANSION_CONST
 
 EPS = np.finfo(float).eps
+#: see TestMuProfile.test_all_rows_bits_pinned
+_MU_ALL_ROWS_SHA256 = \
+    "8b7ae77c739442dd81ce758aedb3b5ce7531ce29d4402b5a739d46c5078db795"
 
 
 def two_subject_data():
@@ -144,29 +148,30 @@ class TestMuProfile:
         data = SurvivalDataset(X=[[0.7], [0.7]], time=[1.0, 2.0],
                                status=[True, True])
         prof = mu_profile(data, [0.0])
-        assert prof.sup_risk_set == 0.0
         assert prof.sup_all_rows == 0.0
 
     def test_two_subject_mean_half(self):
         data = two_subject_data()
         prof = mu_profile(data, [0.0])
-        np.testing.assert_allclose(prof.mu_risk_set, [0.5], atol=1e-14)
         np.testing.assert_allclose(prof.mu_all_rows, [0.5], atol=1e-14)
 
     def test_single_subject_at_risk(self):
-        # event at the latest time: only that subject remains at risk, so
-        # the risk-set spread is zero while the all-rows spread is not
+        # event at the latest time: only that subject remains at risk, but
+        # the maximum runs over all rows, so the earlier censored row counts
         data = SurvivalDataset(X=[[0.0], [1.0]], time=[1.0, 2.0],
                                status=[False, True])
         prof = mu_profile(data, [0.0])
-        np.testing.assert_allclose(prof.mu_risk_set, [0.0], atol=1e-14)
         np.testing.assert_allclose(prof.mu_all_rows, [1.0], atol=1e-14)
-        assert prof.sup_all_rows >= prof.sup_risk_set
 
-    def test_all_rows_dominates_risk_set(self):
-        data = gen_survival_instance(40, 2, seed=204)
-        prof = mu_profile(data, np.array([0.1, 0.2]))
-        assert np.all(prof.mu_all_rows >= prof.mu_risk_set - 1e-15)
+    def test_all_rows_bits_pinned(self):
+        # sha256 of mu_all_rows over the adversarial cases, taken when
+        # mu_profile also computed a risk-set maximum and clamped to it:
+        # dropping both moved no bit
+        digest = hashlib.sha256()
+        for seed in (230, 231, 232):
+            for data, beta in _adversarial_cases(seed):
+                digest.update(mu_profile(data, beta).mu_all_rows.tobytes())
+        assert digest.hexdigest() == _MU_ALL_ROWS_SHA256
 
 
 class TestCertificate:
@@ -364,10 +369,8 @@ def assert_agrees(engine_data, beta, reference_data=None):
     assert np.linalg.norm(cox_jacobian(engine_data, beta) - jac) <= \
         1e-11 * np.linalg.norm(jac) + 1e-12 * jac_scale
     prof = mu_profile(engine_data, beta)
-    mu_risk, mu_all = ref.mu_profile(data, beta)
+    mu_all = ref.mu_profile(data, beta)
     floor = 1e-15 * mu_all.max()
-    np.testing.assert_allclose(prof.mu_risk_set, mu_risk, rtol=1e-13,
-                               atol=floor)
     np.testing.assert_allclose(prof.mu_all_rows, mu_all, rtol=1e-13,
                                atol=floor)
     np.testing.assert_array_equal(prof.event_times,
@@ -393,6 +396,34 @@ def _spread_instance(sign, n=80, seed=220):
             np.array([400.0, 0.3]))
 
 
+def _adversarial_cases(seed):
+    """``(data, beta)`` pairs built on ``gen_survival_instance(60, 3, seed)``:
+    rows equidistant from the tilted mean (ties in the argmax), a far
+    outlier censored before the first event, ``|beta|`` in the hundreds,
+    and every row tied in time."""
+    rng = np.random.default_rng(seed + 1000)
+    base = gen_survival_instance(60, 3, seed=seed)
+    # the eight corners of [-1, 1]^3 at each of six times: every risk set
+    # is symmetric, so at beta = 0 all rows are equidistant from its mean,
+    # and along an axis the four corners on each side stay tied
+    corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * 3)).reshape(3, -1).T
+    cube = SurvivalDataset(X=np.tile(corners, (6, 1)),
+                           time=np.repeat(np.arange(1.0, 7.0), 8),
+                           status=rng.uniform(size=48) < 0.7)
+    yield cube, np.zeros(3)
+    yield cube, np.array([1.5, 0.0, 0.0])
+    x = base.X.copy()
+    x[0] = 1e3
+    time = base.time.copy()
+    time[0] = 0.5 * base.time[base.status].min()
+    status = base.status.copy()
+    status[0] = False
+    yield SurvivalDataset(X=x, time=time, status=status), rng.normal(size=3)
+    yield base, rng.normal(size=3) * 200.0
+    yield (SurvivalDataset(X=base.X, time=np.ones(60), status=base.status),
+           rng.normal(size=3))
+
+
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("seed", [230, 231, 232])
     def test_seeded_variants(self, seed):
@@ -410,6 +441,8 @@ class TestEngineMatchesReference:
         for data in variants:
             for scale in (0.0, 0.5, 2.0):
                 assert_agrees(data, rng.normal(size=3) * scale)
+        for data, beta in _adversarial_cases(seed):
+            assert_agrees(data, beta)
 
     def test_covariate_offset(self):
         # X on a 2^-30 grid makes X + 1e3 exact, so both datasets are the

@@ -4,6 +4,7 @@ import pytest
 from finite_differences import loss_derivative_check
 
 from mestcert import InvalidInputError, combine_families, make_family
+from mestcert.losses import sigmoid
 
 GRID = np.arange(-3.0, 3.0 + 1e-9, 0.25)
 
@@ -112,6 +113,29 @@ class TestDerivativeCheck:
             for u in (-40.0, 40.0):
                 assert np.isfinite(float(fam.eval0(u, 1.0)))
                 assert np.isfinite(float(fam.eval1(u, 1.0)))
+
+
+def _masked_sigmoid(u):
+    """The two-branch form ``losses.sigmoid`` replaced, kept as reference."""
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    eu = np.exp(u[~pos])
+    out[~pos] = eu / (1.0 + eu)
+    return out
+
+
+class TestSigmoid:
+    def test_bytes_match_masked_form(self):
+        rng = np.random.default_rng(50)
+        special = [sign * v for sign in (1.0, -1.0)
+                   for v in (0.0, 1e-300, 709.8, 745.5, np.inf)]
+        for u in [np.array(special)] + [rng.normal(size=20000) * scale
+                                        for scale in (0.5, 3.0, 30.0, 800.0)]:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                assert sigmoid(u).tobytes() == _masked_sigmoid(u).tobytes()
+        assert type(sigmoid(-3.0)) is float and sigmoid(0.0) == 0.5
 
 
 class TestCombine:
