@@ -104,7 +104,7 @@ def contraction_certificate(f, jac, a_matrix, theta0, radius, variation_bound):
     -------
     RootCertificate
     """
-    theta0 = as_vector(theta0, "theta0")
+    theta0 = as_vector(theta0, "theta0").copy()  # the certificate owns it
     a = as_matrix(a_matrix, "A")
     radius = float(radius)
     if not radius > 0.0:
@@ -185,7 +185,7 @@ def newton_step_certificate(f, jac, theta0, holder_l, alpha):
     -------
     ExpansionCertificate
     """
-    theta0 = as_vector(theta0, "theta0")
+    theta0 = as_vector(theta0, "theta0").copy()  # the certificate owns it
     holder_l, alpha = _holder_arguments(holder_l, alpha)
 
     j0 = as_matrix(np.asarray(jac(theta0), dtype=float), "jac(theta0)")

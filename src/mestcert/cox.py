@@ -15,7 +15,7 @@ no tie correction).
 
 All four quantities -- objective, score, Jacobian and the tilted risk-set
 means behind ``mu_profile`` -- come from one vectorised pass that costs
-``O(n log n + n p^2)``:
+``O(n p^2)`` on top of an ``O(n log n)`` set-up made once per dataset:
 
 * Rows are sorted once by descending time, so every risk set is a prefix of
   the sorted order; ``searchsorted`` finds each event's prefix, which puts
@@ -24,6 +24,10 @@ means behind ``mu_profile`` -- come from one vectorised pass that costs
   ever at risk. The partial likelihood is translation invariant, so this
   changes no value, but it keeps the sums small when covariates carry a
   large common offset. Rows never at risk are dropped before any sum.
+* Everything above is free of ``beta``: building a ``SurvivalDataset``
+  stores the risk-set ends, the centred sorted rows and their squared
+  norms, the centred event rows and the ``H1``/``H2`` weights in sorted
+  order, and every pass reads them.
 * Reverse cumulative sums of ``r = H2 exp(eta - shift)`` and ``r x`` give
   every ``R_n`` and tilted mean. A single global shift would underflow the
   late, small risk sets when ``eta`` spans hundreds of units, so the shift
@@ -33,7 +37,16 @@ means behind ``mu_profile`` -- come from one vectorised pass that costs
   re-bases.
 * The Jacobian is ``Xc^T diag(r A) Xc - sum_i H1_i xbar_i xbar_i^T`` with
   ``A_j = sum_{events i : s_i <= T_j} H1_i / R_n(s_i)``, both in centred
-  coordinates, so no ``n x p^2`` array is formed.
+  coordinates, so no ``n x p^2`` array is formed. Every pass computes it.
+
+Each dataset keeps its last pass in one slot, keyed on the exact bytes of
+``beta``, so there is one pass per distinct ``beta``: ``cox_score``,
+``cox_objective``, ``cox_jacobian`` and ``mu_profile`` at the ``beta`` of
+the last pass reuse it. A ``fit_cox`` evaluation and the Newton step from
+the accepted point share one pass, and ``certify_cox`` at the fitted root
+needs none. Any other ``beta`` -- ``-0.0`` in place of ``0.0`` included --
+replaces the slot; a pass that raises leaves it as it was. Copies, pickles
+and ``dataclasses.replace`` start with an empty slot.
 
 Accuracy limit: the Jacobian is a difference of two sums, so its rounding
 error scales with ``eps * sum_i H1_i ||xbar_i - c||^2``. That is harmless
@@ -90,9 +103,14 @@ class SurvivalDataset:
     reuses: ``time_order`` (rows by descending time, ties in index order),
     ``event_rows`` (event rows in ascending (time, index) order) and the
     per-row weights ``h1_weights``/``h2_weights``, one callback call per
-    row. All these arrays are read-only; ``X``, ``time`` and ``status`` are
-    views of the arrays passed in (not copies: do not modify those
-    afterwards).
+    row, plus the private ``beta``-free geometry of the pass (see the
+    module docstring). All these arrays are read-only. ``X``, ``time`` and
+    ``status`` are still views of the arrays passed in, not copies, but
+    every Cox quantity is computed from what construction took from them
+    (centred copies of the rows, the order, the event times and the
+    weights), so a later write to the caller's arrays shows in ``data.X``
+    but changes no score, objective, Jacobian, ``mu_profile`` or
+    certificate.
     """
 
     X: np.ndarray
@@ -116,15 +134,28 @@ class SurvivalDataset:
         if not np.any(s):
             raise InvalidInputError("at least one event is required")
         events = np.flatnonzero(s)
+        order = np.argsort(-t, kind="stable")
+        event_rows = events[np.argsort(t[events], kind="stable")]
+        h1w, h2w = row_weights(self.h1, x), row_weights(self.h2, x)
+        # the beta-free part of every risk-set pass
+        ends = np.searchsorted(-t[order], -t[event_rows], side="right")
+        m = int(ends[0])                      # rows ever at risk
+        xs = x[order]
+        centre = np.mean(xs[:m], axis=0)
+        xs -= centre
         for name, value in (
                 ("X", x), ("time", t), ("status", s),
-                ("time_order", np.argsort(-t, kind="stable")),
-                ("event_rows", events[np.argsort(t[events], kind="stable")]),
-                ("h1_weights", row_weights(self.h1, x)),
-                ("h2_weights", row_weights(self.h2, x))):
+                ("time_order", order), ("event_rows", event_rows),
+                ("h1_weights", h1w), ("h2_weights", h2w),
+                ("_event_times", t[event_rows]), ("_ends", ends),
+                ("_xs", xs), ("_h2", h2w[order[:m]]),
+                ("_h1", h1w[event_rows]), ("_xe", x[event_rows] - centre),
+                ("_sq", np.einsum("ij,ij->i", xs, xs))):
             value = value.view()
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        # (beta.tobytes(), _RiskPass) of the last pass, see _risk_pass
+        object.__setattr__(self, "_last_pass", None)
 
     @property
     def n_obs(self):
@@ -179,34 +210,40 @@ class SoftmaxRatioCheck(NamedTuple):
 class _RiskPass(NamedTuple):
     """One sweep over the sorted risk sets, in centred coordinates."""
 
-    xs: np.ndarray        # all rows, descending time, minus the centre
     xbar: np.ndarray      # tilted risk-set mean per event, minus the centre
     objective: float
     score: np.ndarray
-    jacobian: Optional[np.ndarray]
+    jacobian: np.ndarray
 
 
 def _empty_risk_set(data, k):
     return DegenerateRiskSetError(
-        f"risk set at event time {data.time[data.event_rows[k]]} carries no "
+        f"risk set at event time {data._event_times[k]} carries no "
         "positive weight")
 
 
-def _risk_pass(data, beta, jacobian=False):
-    """Objective, score, tilted means and (optionally) Jacobian at ``beta``.
+def _risk_pass(data, beta):
+    """The pass at ``beta``, served from the dataset's one-slot memo when
+    ``beta`` has the bytes of the last pass's coefficients."""
+    key = beta.tobytes()
+    last = data._last_pass
+    if last is not None and last[0] == key:
+        return last[1]
+    rp = _sweep(data, beta)
+    object.__setattr__(data, "_last_pass", (key, rp))
+    return rp
+
+
+def _sweep(data, beta):
+    """Objective, score, tilted means and Jacobian at ``beta``.
 
     Events are taken in ``data.event_rows`` order. Raises
     ``DegenerateRiskSetError`` if some event's risk set has no positive
     ``H2`` weight.
     """
-    order, events = data.time_order, data.event_rows
-    t_sorted = data.time[order]
-    ends = np.searchsorted(-t_sorted, -data.time[events], side="right")
-    m = int(ends[0])                      # rows ever at risk
-    xs = data.X[order]
-    centre = np.mean(xs[:m], axis=0)
-    xs -= centre
-    x, h2 = xs[:m], data.h2_weights[order[:m]]
+    ends = data._ends
+    m = int(ends[0])
+    x, h2 = data._xs[:m], data._h2
     eta = x @ beta
 
     # shift blocks: a new block starts where the running max of eta over
@@ -243,27 +280,24 @@ def _risk_pass(data, beta, jacobian=False):
     empty = np.flatnonzero(r0 <= 0.0)
     if empty.size:
         raise _empty_risk_set(data, empty[0])
-    h1 = data.h1_weights[events]
+    h1, xe = data._h1, data._xe
     xbar = s1[last] / r0[:, None]
-    xe = data.X[events] - centre
     objective = float(h1 @ (base[last] + np.log(r0) - xe @ beta))
     score = h1 @ (xbar - xe)
 
-    jac = None
-    if jacobian:
-        # A_j: suffix sums over the events whose sets reach position j,
-        # carried right to left and rescaled into each block's units
-        g = np.bincount(last, weights=h1 / r0, minlength=m)
-        a = np.empty(m)
-        carry = 0.0
-        for b in range(len(starts) - 1, -1, -1):
-            lo, hi = edges[b], edges[b + 1]
-            a[lo:hi] = np.cumsum(g[lo:hi][::-1])[::-1] + carry
-            if b:
-                carry = a[lo] * np.exp(bases[b - 1] - bases[b])
-        jac = ((x * (r * a)[:, None]).T @ x
-               - (xbar * h1[:, None]).T @ xbar)
-    return _RiskPass(xs, xbar, objective, score, jac)
+    # A_j: suffix sums over the events whose sets reach position j,
+    # carried right to left and rescaled into each block's units
+    g = np.bincount(last, weights=h1 / r0, minlength=m)
+    a = np.empty(m)
+    carry = 0.0
+    for b in range(len(starts) - 1, -1, -1):
+        lo, hi = edges[b], edges[b + 1]
+        a[lo:hi] = np.cumsum(g[lo:hi][::-1])[::-1] + carry
+        if b:
+            carry = a[lo] * np.exp(bases[b - 1] - bases[b])
+    jac = ((x * (r * a)[:, None]).T @ x
+           - (xbar * h1[:, None]).T @ xbar)
+    return _RiskPass(xbar, objective, score, jac)
 
 
 def cox_objective(data, beta):
@@ -275,7 +309,7 @@ def cox_objective(data, beta):
 def cox_score(data, beta):
     """Score: sum over events of ``H1(X_i) (Xbar_{n,T_i} - X_i)``."""
     beta = as_parameter(beta, data.n_features, "beta")
-    return _risk_pass(data, beta).score
+    return _risk_pass(data, beta).score.copy()
 
 
 def cox_jacobian(data, beta):
@@ -285,16 +319,15 @@ def cox_jacobian(data, beta):
     positive semidefinite for nonnegative ``H1``.
     """
     beta = as_parameter(beta, data.n_features, "beta")
-    return _risk_pass(data, beta, jacobian=True).jacobian
+    return _risk_pass(data, beta).jacobian.copy()
 
 
 def mu_profile(data, beta0):
     """Largest distance from any row to each event's tilted risk-set mean."""
     beta0 = as_parameter(beta0, data.n_features, "beta")
-    rp = _risk_pass(data, beta0)
-    xs, xbar = rp.xs, rp.xbar
+    xbar = _risk_pass(data, beta0).xbar
+    xs, sq = data._xs, data._sq
     n_obs, n_ev = xs.shape[0], xbar.shape[0]
-    sq = np.einsum("ij,ij->i", xs, xs)
     mu = np.empty(n_ev)
     step = max(1, _MU_CHUNK // n_obs)
     for lo in range(0, n_ev, step):
@@ -307,7 +340,7 @@ def mu_profile(data, beta0):
         d2 += sq
         far = np.argmax(d2, axis=1)
         mu[lo:hi] = np.linalg.norm(xs[far] - xb, axis=1)
-    return MuProfile(event_times=data.time[data.event_rows], mu_all_rows=mu,
+    return MuProfile(event_times=data._event_times.copy(), mu_all_rows=mu,
                      sup_all_rows=float(np.max(mu)))
 
 
@@ -338,7 +371,7 @@ def certify_cox(data, beta0):
 def fit_cox(data, init=None, tol=1e-10, max_iter=100):
     """Partial-likelihood root by damped Newton (oracle-quality plumbing)."""
     beta = (np.zeros(data.n_features) if init is None
-            else as_parameter(init, data.n_features, "beta").copy())
+            else as_parameter(init, data.n_features, "beta"))
     return damped_newton(
         beta, lambda b: (cox_score(data, b), cox_objective(data, b)),
         lambda b, z: -solve_linear(cox_jacobian(data, b), z), tol, max_iter)[0]

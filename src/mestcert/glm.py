@@ -158,7 +158,7 @@ def fit(data, family, init=None, tol=1e-10, max_iter=100):
     :class:`~mestcert.errors.SingularMatrixError`.
     """
     theta = (np.zeros(data.n_features) if init is None
-             else as_parameter(init, data.n_features).copy())
+             else as_parameter(init, data.n_features))
 
     def newton_step(theta, z):
         try:

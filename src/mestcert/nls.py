@@ -243,7 +243,7 @@ def fit_nls(data, link, init, tol=1e-10, max_iter=200):
     the returned point depends on the start. Used as the oracle that
     certificates are checked against.
     """
-    theta = as_parameter(init, data.n_features).copy()
+    theta = as_parameter(init, data.n_features)
     return damped_newton(
         theta, lambda t: (nls_grad(data, link, t), None),
         lambda t, grad: -solve_linear(nls_hess(data, link, t), grad),

@@ -64,12 +64,15 @@ def _as_array(a, ndim, name):
 
 
 def as_parameter(v, size, name="theta"):
-    """Validate ``v`` as a finite parameter vector of length ``size``."""
+    """Validate ``v`` as a finite parameter vector of length ``size``.
+
+    Returns a copy, so a later change to ``v`` reaches nothing built from
+    it (a certificate's target, a fitter's iterate)."""
     x = as_vector(v, name)
     if x.shape[0] != size:
         raise InvalidInputError(
             f"{name} has length {x.shape[0]}, expected {size}")
-    return x
+    return x.copy()
 
 
 def row_weights(fn, x):

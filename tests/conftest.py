@@ -4,6 +4,9 @@ Everything is seeded: the suite asserts zero violations over fixed instance
 pools, so draws must be reproducible run to run.
 """
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,19 @@ def factor_calls(monkeypatch):
 
     monkeypatch.setattr(numkit, "_factor", counted)
     return calls
+
+
+def assert_certificate_owns_inputs(certify, *arrays):
+    """``certify(*arrays)`` returns a certificate none of whose fields moves
+    when every input array is overwritten after the call."""
+    cert = certify(*arrays)
+    before = copy.deepcopy(cert)
+    for a in arrays:
+        a[...] = 7.0
+    for field in dataclasses.fields(cert):
+        np.testing.assert_array_equal(getattr(cert, field.name),
+                                      getattr(before, field.name),
+                                      err_msg=field.name)
 
 
 def gen_glm_instance(kind, n, p, seed, x_scale=None, alpha=1.0):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import assert_certificate_owns_inputs
 
 from mestcert import (InvalidInputError, SingularMatrixError,
                       contraction_certificate, newton_step_certificate,
@@ -37,6 +38,15 @@ class TestContraction:
         assert cert.valid
         assert len(factor_calls) == 1
         assert cert.step_norm == step_norm
+
+    def test_certificate_owns_its_center(self):
+        f = lambda t: np.array([t[0] ** 2 - 1.0])
+        jac = lambda t: np.array([[2.0 * t[0]]])
+        assert_certificate_owns_inputs(
+            lambda t: contraction_certificate(f, jac, np.array([[2.4]]), t,
+                                              radius=1.0,
+                                              variation_bound=lambda r: 0.5),
+            np.array([1.2]))
 
     def test_linear_map_exact_bracket(self):
         theta0 = np.array([0.3, 0.4])
@@ -143,6 +153,14 @@ class TestNewtonStep:
         observed = abs(root - (1.2 + cert.newton_step[0]))
         assert observed <= cert.remainder_bound * (1 + 1e-9)
         assert abs(root - 1.2) <= cert.ball_radius
+
+    def test_certificate_owns_its_center(self):
+        assert_certificate_owns_inputs(
+            lambda t: newton_step_certificate(
+                lambda u: np.array([u[0] ** 2 - 1.0]),
+                lambda u: np.array([[2.0 * u[0]]]), t, holder_l=1.0 / 1.2,
+                alpha=1.0),
+            np.array([1.2]))
 
     def test_already_root(self):
         cert = newton_step_certificate(

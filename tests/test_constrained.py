@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import gen_glm_instance
+from conftest import assert_certificate_owns_inputs, gen_glm_instance
 
 from mestcert import (ConvergenceError, InfeasiblePointError,
                       InvalidInputError, RankDeficientError,
@@ -188,6 +188,15 @@ class TestCertifyConstrained:
         np.testing.assert_allclose(
             cert.target_nu, least_squares_multiplier(grad(beta0), a),
             atol=1e-12)
+
+    def test_certificate_owns_its_target(self):
+        data, fam = gen_glm_instance("poisson", 50, 3, seed=514)
+        grad, hess = glm_callables(data, fam)
+        a, b = np.array([[1.0, 1.0, 1.0]]), np.zeros(1)
+        assert_certificate_owns_inputs(
+            lambda beta0, nu0: certify_constrained(grad, hess, a, b, beta0,
+                                                   nu0=nu0, holder_l=1.0),
+            np.array([0.1, -0.3, 0.2]), np.array([0.4]))
 
     def test_infeasible_target_rejected(self):
         data, fam = gen_glm_instance("squared", 30, 2, seed=512)

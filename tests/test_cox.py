@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import pickle
@@ -5,7 +6,7 @@ import pickle
 import cox_reference as ref
 import numpy as np
 import pytest
-from conftest import gen_survival_instance
+from conftest import assert_certificate_owns_inputs, gen_survival_instance
 from finite_differences import fd_jacobian
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -424,21 +425,26 @@ def _adversarial_cases(seed):
            rng.normal(size=3))
 
 
+def _seeded_variants(seed):
+    """``gen_survival_instance(60, 3, seed)`` as is, with times tied on a
+    1/3 grid, with ``H1`` weights, and with all three plus zero-``H2``
+    rows."""
+    base = gen_survival_instance(60, 3, seed=seed)
+    tied = np.round(base.time * 3.0) / 3.0
+    return [
+        base,
+        SurvivalDataset(X=base.X, time=tied, status=base.status),
+        SurvivalDataset(X=base.X, time=base.time, status=base.status, h1=_h1),
+        SurvivalDataset(X=base.X, time=tied, status=base.status,
+                        h1=_h1, h2=_h2_with_zeros),
+    ]
+
+
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("seed", [230, 231, 232])
     def test_seeded_variants(self, seed):
         rng = np.random.default_rng(seed)
-        base = gen_survival_instance(60, 3, seed=seed)
-        tied = np.round(base.time * 3.0) / 3.0
-        variants = [
-            base,
-            SurvivalDataset(X=base.X, time=tied, status=base.status),
-            SurvivalDataset(X=base.X, time=base.time, status=base.status,
-                            h1=_h1),
-            SurvivalDataset(X=base.X, time=tied, status=base.status,
-                            h1=_h1, h2=_h2_with_zeros),
-        ]
-        for data in variants:
+        for data in _seeded_variants(seed):
             for scale in (0.0, 0.5, 2.0):
                 assert_agrees(data, rng.normal(size=3) * scale)
         for data, beta in _adversarial_cases(seed):
@@ -490,6 +496,136 @@ class TestEngineMatchesReference:
         prof = mu_profile(data, [0.2])
         assert_agrees(data, [0.2])
         np.testing.assert_array_equal(prof.event_times, [0.5, 1.0, 1.0])
+
+
+# ---------------------------------------------------------------------- #
+# one risk-set pass per distinct beta
+# ---------------------------------------------------------------------- #
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The bytes of ``beta`` at every uncached risk-set pass, in order."""
+    keys = []
+    sweep = cox._sweep
+
+    def counted(data, beta):
+        keys.append(beta.tobytes())
+        return sweep(data, beta)
+
+    monkeypatch.setattr(cox, "_sweep", counted)
+    return keys
+
+
+def _fresh(data):
+    """The same instance with an empty pass memo."""
+    return dataclasses.replace(data)
+
+
+def _assert_fields_equal(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+
+class TestOnePass:
+    def test_one_pass_per_beta(self, sweeps):
+        data = gen_survival_instance(40, 2, seed=240)
+        beta = np.array([0.3, -0.2])
+        cox_score(data, beta)
+        cox_objective(data, list(beta))
+        cox_jacobian(data, beta.copy())
+        mu_profile(data, beta)
+        certify_cox(data, beta)
+        assert sweeps == [beta.tobytes()]
+
+    def test_fit_and_certify_sweep_each_beta_once(self, sweeps, monkeypatch):
+        # the benchmark's Cox job: fit, then certify at the root and at 0
+        seen = []
+        for name in ("cox_score", "cox_objective", "cox_jacobian"):
+            def recorded(data, beta, fn=getattr(cox, name)):
+                seen.append(np.asarray(beta, dtype=float).tobytes())
+                return fn(data, beta)
+            monkeypatch.setattr(cox, name, recorded)
+        data = gen_survival_instance(150, 5, seed=241)
+        root = fit_cox(data)
+        assert len(seen) > 2 * len(set(seen))
+        assert sweeps == list(dict.fromkeys(seen))
+        fitted = len(sweeps)
+        certify_cox(data, root)
+        assert len(sweeps) == fitted
+        certify_cox(data, np.zeros(5))
+        assert len(sweeps) == fitted + 1 <= 6
+
+    def test_bits_match_a_fresh_dataset_per_call(self):
+        cases = [_spread_instance(1), _spread_instance(-1)]
+        for seed in (230, 231):
+            rng = np.random.default_rng(seed)
+            cases += [(d, rng.normal(size=3)) for d in _seeded_variants(seed)]
+            cases += list(_adversarial_cases(seed))
+        for data, beta in cases:
+            # alternate two coefficient vectors on one dataset
+            for b in (beta, -0.5 * beta, beta, beta):
+                for fn in (cox_objective, cox_score, cox_jacobian):
+                    assert np.asarray(fn(data, b)).tobytes() == \
+                        np.asarray(fn(_fresh(data), b)).tobytes()
+                _assert_fields_equal(mu_profile(data, b),
+                                     mu_profile(_fresh(data), b))
+
+    def test_copies_start_with_an_empty_memo(self):
+        data = gen_survival_instance(20, 2, seed=242)
+        cox_score(data, [0.1, 0.2])
+        assert data._last_pass is not None
+        for other in (copy.copy(data), copy.deepcopy(data),
+                      pickle.loads(pickle.dumps(data)),
+                      dataclasses.replace(data)):
+            assert other._last_pass is None
+
+    def test_signed_zeros_are_distinct_keys(self, sweeps):
+        data = gen_survival_instance(20, 2, seed=243)
+        betas = (np.zeros(2), np.array([-0.0, 0.0]), np.zeros(2))
+        scores = [cox_score(data, b) for b in betas]
+        assert sweeps == [b.tobytes() for b in betas]
+        for b, z in zip(betas, scores):
+            assert z.tobytes() == cox_score(_fresh(data), b).tobytes()
+
+    def test_returned_arrays_do_not_alias_the_memo(self):
+        data = gen_survival_instance(20, 2, seed=244)
+        beta = np.array([0.1, 0.2])
+        score, jac = cox_score(data, beta), cox_jacobian(data, beta)
+        want = (score.copy(), jac.copy())
+        score += 1.0
+        jac += 1.0
+        assert cox_score(data, beta).tobytes() == want[0].tobytes()
+        assert cox_jacobian(data, beta).tobytes() == want[1].tobytes()
+
+    def test_degenerate_risk_set_raises_on_every_call(self):
+        data = SurvivalDataset(X=[[0.0], [1.0]], time=[1.0, 2.0],
+                               status=[False, True], h2=lambda x: 0.0)
+        for fn in (cox_score, cox_objective, cox_jacobian, mu_profile,
+                   certify_cox, cox_score):
+            with pytest.raises(DegenerateRiskSetError):
+                fn(data, [0.0])
+            assert data._last_pass is None
+
+    def test_results_read_the_arrays_as_they_were_at_construction(self):
+        base = gen_survival_instance(30, 2, seed=245)
+        x, t = base.X.copy(), base.time.copy()
+        data = SurvivalDataset(X=x, time=t, status=base.status)
+        beta = np.array([0.2, -0.3])
+        before = (cox_score(data, beta), mu_profile(data, beta),
+                  certify_cox(data, beta))
+        cox_score(data, np.zeros(2))  # the memo no longer holds beta
+        x[...] = np.random.default_rng(245).normal(size=x.shape)
+        t[...] = t[::-1].copy()
+        assert data.X[0, 0] == x[0, 0]  # data.X is still a view
+        assert cox_score(data, beta).tobytes() == before[0].tobytes()
+        _assert_fields_equal(mu_profile(data, beta), before[1])
+        _assert_fields_equal(certify_cox(data, beta), before[2])
+
+    def test_certificate_owns_its_target(self):
+        data = gen_survival_instance(30, 2, seed=246)
+        assert_certificate_owns_inputs(lambda b: certify_cox(data, b),
+                                       np.array([0.1, -0.2]))
 
 
 @st.composite

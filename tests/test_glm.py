@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import gen_glm_instance
+from conftest import assert_certificate_owns_inputs, gen_glm_instance
 from finite_differences import fd_jacobian
 
 from mestcert import (ConvergenceError, Dataset, InvalidInputError,
@@ -205,6 +205,11 @@ class TestCertify:
         cert = certify(data, SQ, np.array([0.3, -0.1]), q_ref=q_ref)
         assert cert.expansion_bound_reference == pytest.approx(
             cert.reference_mismatch * cert.delta, rel=1e-12)
+
+    def test_certificate_owns_its_target(self):
+        data, fam = gen_glm_instance("logistic", 40, 3, seed=114)
+        assert_certificate_owns_inputs(lambda t: certify(data, fam, t),
+                                       np.zeros(3))
 
     def test_singular_hessian_raises(self):
         data = Dataset(X=[[1.0, 2.0]], y=[1.0])

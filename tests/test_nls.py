@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import assert_certificate_owns_inputs
 from finite_differences import fd_jacobian
 
 from mestcert import (ConvergenceError, Dataset, InvalidInputError, LinkSpec,
@@ -216,6 +217,11 @@ class TestCertify:
         cert = certify_nls(data, LINK, root)
         assert cert.delta <= 1e-11
         assert cert.condition_ok
+
+    def test_certificate_owns_its_target(self):
+        data = gen_nls_instance(50, 3, seed=416)
+        assert_certificate_owns_inputs(lambda t: certify_nls(data, LINK, t),
+                                       np.array([0.2, -0.1, 0.4]))
 
     def test_condition_formula_verbatim(self):
         data = gen_nls_instance(60, 2, seed=413)
