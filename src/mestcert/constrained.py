@@ -29,8 +29,8 @@ import numpy as np
 from .certify import _holder_arguments
 from .errors import (InfeasiblePointError, InvalidInputError,
                      RankDeficientError)
-from .numkit import (as_matrix, as_parameter, as_vector, damped_newton,
-                     lu_factorization, op_norm, solve_linear,
+from .numkit import (_sized_vector, as_matrix, as_parameter, as_vector,
+                     damped_newton, lu_factorization, op_norm, solve_linear,
                      solve_linear_many)
 
 #: allowed constraint violation of a certificate target
@@ -86,19 +86,23 @@ def check_constraints(a, b):
 
 
 def kkt_matrix(hess_val, a):
-    """Assemble the stacked KKT matrix ``[[H, A^T], [A, 0]]``."""
+    """Assemble the stacked KKT matrix ``[[H, A^T], [A, 0]]`` for ``A`` of
+    shape ``(d, p)``; ``H`` must be a finite ``(p, p)`` matrix."""
     h = as_matrix(hess_val, "Hessian")
-    d = a.shape[0]
+    d, p = a.shape
+    if h.shape != (p, p):
+        raise InvalidInputError(
+            f"Hessian has shape {h.shape}, expected {(p, p)}")
     return np.block([[h, a.T], [a, np.zeros((d, d))]])
 
 
 def least_squares_multiplier(grad_val, a):
     """Default multiplier ``nu = -(A A^T)^-1 A grad`` for a target beta."""
-    g = as_vector(grad_val, "gradient")
+    g = as_parameter(grad_val, a.shape[1], "gradient")
     return -solve_linear(a @ a.T, a @ g)
 
 
-def kkt_solve(grad, hess, a, b, init=None, tol=1e-10, max_iter=100):
+def kkt_solve(grad, hess, a, b, tol=1e-10, max_iter=100):
     """Solve the KKT equations by damped Newton on the stacked residual.
 
     Parameters
@@ -107,9 +111,8 @@ def kkt_solve(grad, hess, a, b, init=None, tol=1e-10, max_iter=100):
         Gradient and Hessian of the objective.
     a, b : array_like
         Equality constraints ``A beta = b``; ``A`` must have full row rank.
-    init : KktPoint or None
-        Starting point; defaults to the minimum-norm feasible ``beta`` with
-        zero multipliers.
+        The iteration starts at the minimum-norm feasible ``beta`` with zero
+        multipliers.
     tol : float
         Both residuals (``||A beta - b||`` and ``||grad F + A^T nu||``) must
         fall below this.
@@ -119,29 +122,19 @@ def kkt_solve(grad, hess, a, b, init=None, tol=1e-10, max_iter=100):
     KktPoint
     """
     a, b = check_constraints(a, b)
-    p = a.shape[1]
-    d = a.shape[0]
-    if init is None:
-        beta = a.T @ solve_linear(a @ a.T, b)
-        nu = np.zeros(d)
-    else:
-        beta = as_vector(init.beta, "init.beta")
-        nu = as_vector(init.nu, "init.nu")
-        if beta.shape[0] != p or nu.shape[0] != d:
-            raise InvalidInputError(
-                f"init has beta length {beta.shape[0]} / nu length "
-                f"{nu.shape[0]}, expected {p} / {d}")
+    d, p = a.shape
 
     def evaluate(x):  # the stacked residual; no objective
-        dual = np.asarray(grad(x[:p]), dtype=float) + a.T @ x[p:]
-        return (dual, a @ x[:p] - b), None
+        # a non-finite gradient at a candidate is the line search's to reject
+        g = _sized_vector(grad(x[:p]), p, "gradient", finite=False)
+        return (g + a.T @ x[p:], a @ x[:p] - b), None
 
     def newton_step(x, r):
-        k = kkt_matrix(np.asarray(hess(x[:p]), dtype=float), a)
-        return -solve_linear(k, np.concatenate(r))
+        return -solve_linear(kkt_matrix(hess(x[:p]), a), np.concatenate(r))
 
     x, (dual, primal) = damped_newton(
-        np.concatenate([beta, nu]), evaluate, newton_step, tol, max_iter,
+        np.concatenate([a.T @ solve_linear(a @ a.T, b), np.zeros(d)]),
+        evaluate, newton_step, tol, max_iter,
         norm=lambda r: (np.linalg.norm(r[0]), np.linalg.norm(r[1])))
     return KktPoint(beta=x[:p], nu=x[p:],
                     primal_residual=float(np.linalg.norm(primal)),
@@ -159,7 +152,8 @@ def certify_constrained(grad, hess, a, b, beta0, nu0=None,
     objective -- certifies unconditionally with zero remainder.
     """
     a, b = check_constraints(a, b)
-    beta0 = as_parameter(beta0, a.shape[1], "beta0")
+    d, p = a.shape
+    beta0 = as_parameter(beta0, p, "beta0")
     violation = float(np.linalg.norm(a @ beta0 - b))
     if violation > FEASIBILITY_TOL:
         raise InfeasiblePointError(
@@ -167,24 +161,20 @@ def certify_constrained(grad, hess, a, b, beta0, nu0=None,
             f"(> {FEASIBILITY_TOL:.0e})")
     holder_l, alpha = _holder_arguments(holder_l, alpha)
 
-    grad0 = np.asarray(grad(beta0), dtype=float)
+    grad0 = as_parameter(grad(beta0), p, "gradient")
     if nu0 is None:
         nu0 = least_squares_multiplier(grad0, a)
     else:
-        nu0 = as_parameter(nu0, a.shape[0], "nu0")
+        nu0 = as_parameter(nu0, d, "nu0")
     g0 = grad0 + a.T @ nu0
 
-    h = as_matrix(np.asarray(hess(beta0), dtype=float), "Hessian")
+    h = as_matrix(hess(beta0), "Hessian")
+    k = kkt_matrix(h, a)
     hsolve = lu_factorization(h)
     schur = a @ hsolve(a.T)
     multiplier_gain = op_norm(solve_linear_many(schur, a))
     dlt = 1.5 * (1.0 + multiplier_gain) * float(np.linalg.norm(hsolve(g0)))
-
-    p = a.shape[1]
-    d = a.shape[0]
-    k = kkt_matrix(h, a)
-    z = -solve_linear(k, np.concatenate([g0, np.zeros(d)]))
-    step = z[:p]
+    step = -solve_linear(k, np.concatenate([g0, np.zeros(d)]))[:p]
 
     ok = holder_l == 0.0 or dlt <= (3.0 * holder_l) ** (-1.0 / alpha)
     return ConstrainedCertificate(

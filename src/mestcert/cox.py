@@ -77,8 +77,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateRiskSetError, InvalidInputError
-from .numkit import (as_matrix, as_parameter, as_vector, damped_newton,
-                     row_weights, solve_linear)
+from .numkit import (_DatasetCore, as_matrix, as_parameter, as_vector,
+                     damped_newton, row_weights, solve_linear)
 
 #: certificate threshold for sup_s mu_n(s) * delta
 COX_CONDITION_LIMIT = 1.0 / 16.0
@@ -92,25 +92,18 @@ _MU_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
-class SurvivalDataset:
+class SurvivalDataset(_DatasetCore):
     """Right-censored survival data with time-constant covariates.
 
     ``status`` flags events (True) versus censorings; at least one event is
     required. ``h1``/``h2`` take a covariate row and return a nonnegative
     weight; ``None`` means unit weights.
 
-    Construction also sets plain (non-field) attributes that every Cox pass
-    reuses: ``time_order`` (rows by descending time, ties in index order),
-    ``event_rows`` (event rows in ascending (time, index) order) and the
-    per-row weights ``h1_weights``/``h2_weights``, one callback call per
-    row, plus the private ``beta``-free geometry of the pass (see the
-    module docstring). All these arrays are read-only. ``X``, ``time`` and
-    ``status`` are still views of the arrays passed in, not copies, but
-    every Cox quantity is computed from what construction took from them
-    (centred copies of the rows, the order, the event times and the
-    weights), so a later write to the caller's arrays shows in ``data.X``
-    but changes no score, objective, Jacobian, ``mu_profile`` or
-    certificate.
+    ``X``, ``time`` and ``status`` are read-only copies of the arrays
+    passed in, so a later write to those arrays changes no result.
+    Construction also sets the per-row weights ``h1_weights``/``h2_weights``
+    (one callback call per row) and the private ``beta``-free geometry of
+    the pass (see the module docstring), all read-only.
     """
 
     X: np.ndarray
@@ -133,42 +126,26 @@ class SurvivalDataset:
             raise InvalidInputError("event/censoring times must be >= 0")
         if not np.any(s):
             raise InvalidInputError("at least one event is required")
-        events = np.flatnonzero(s)
+        self._own(X=x, time=t, status=s)
+        # rows by descending time, event rows by ascending time, ties in
+        # index order
         order = np.argsort(-t, kind="stable")
-        event_rows = events[np.argsort(t[events], kind="stable")]
+        ev = np.flatnonzero(s)
+        ev = ev[np.argsort(t[ev], kind="stable")]
         h1w, h2w = row_weights(self.h1, x), row_weights(self.h2, x)
         # the beta-free part of every risk-set pass
-        ends = np.searchsorted(-t[order], -t[event_rows], side="right")
+        ends = np.searchsorted(-t[order], -t[ev], side="right")
         m = int(ends[0])                      # rows ever at risk
         xs = x[order]
         centre = np.mean(xs[:m], axis=0)
         xs -= centre
-        for name, value in (
-                ("X", x), ("time", t), ("status", s),
-                ("time_order", order), ("event_rows", event_rows),
-                ("h1_weights", h1w), ("h2_weights", h2w),
-                ("_event_times", t[event_rows]), ("_ends", ends),
-                ("_xs", xs), ("_h2", h2w[order[:m]]),
-                ("_h1", h1w[event_rows]), ("_xe", x[event_rows] - centre),
-                ("_sq", np.einsum("ij,ij->i", xs, xs))):
-            value = value.view()
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        # (beta.tobytes(), _RiskPass) of the last pass, see _risk_pass
-        object.__setattr__(self, "_last_pass", None)
-
-    @property
-    def n_obs(self):
-        return self.X.shape[0]
-
-    @property
-    def n_features(self):
-        return self.X.shape[1]
-
-    def __reduce__(self):
-        # copies and pickles rebuild, so their arrays are read-only too
-        return SurvivalDataset, (self.X, self.time, self.status, self.h1,
-                                 self.h2)
+        self._keep(h1_weights=h1w, h2_weights=h2w,
+                   _event_times=t[ev], _ends=ends, _xs=xs,
+                   _h2=h2w[order[:m]], _h1=h1w[ev],
+                   _xe=x[ev] - centre,
+                   _sq=np.einsum("ij,ij->i", xs, xs),
+                   # (beta.tobytes(), _RiskPass) of the last pass
+                   _last_pass=None)
 
 
 @dataclass(frozen=True)
@@ -230,14 +207,14 @@ def _risk_pass(data, beta):
     if last is not None and last[0] == key:
         return last[1]
     rp = _sweep(data, beta)
-    object.__setattr__(data, "_last_pass", (key, rp))
+    data._keep(_last_pass=(key, rp))
     return rp
 
 
 def _sweep(data, beta):
     """Objective, score, tilted means and Jacobian at ``beta``.
 
-    Events are taken in ``data.event_rows`` order. Raises
+    Events are taken in ascending (time, index) order. Raises
     ``DegenerateRiskSetError`` if some event's risk set has no positive
     ``H2`` weight.
     """
@@ -368,12 +345,12 @@ def certify_cox(data, beta0):
     )
 
 
-def fit_cox(data, init=None, tol=1e-10, max_iter=100):
-    """Partial-likelihood root by damped Newton (oracle-quality plumbing)."""
-    beta = (np.zeros(data.n_features) if init is None
-            else as_parameter(init, data.n_features, "beta"))
+def fit_cox(data, tol=1e-10, max_iter=100):
+    """Partial-likelihood root by damped Newton from ``beta = 0``
+    (oracle-quality plumbing)."""
     return damped_newton(
-        beta, lambda b: (cox_score(data, b), cox_objective(data, b)),
+        np.zeros(data.n_features),
+        lambda b: (cox_score(data, b), cox_objective(data, b)),
         lambda b, z: -solve_linear(cox_jacobian(data, b), z), tol, max_iter)[0]
 
 

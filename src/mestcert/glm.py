@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, SingularMatrixError
-from .numkit import (as_matrix, as_parameter, as_vector, damped_newton,
-                     lu_factorization, op_norm, solve_linear)
+from .numkit import (_DatasetCore, as_matrix, as_parameter, as_vector,
+                     damped_newton, lu_factorization, op_norm, solve_linear)
 
 #: curvature-ratio threshold of the certificate condition
 CONDITION_LIMIT = 4.0 / 3.0
@@ -35,13 +35,13 @@ HOLDER_MAX_GROWTH = 200
 
 
 @dataclass(frozen=True)
-class Dataset:
+class Dataset(_DatasetCore):
     """Immutable regression data: design matrix ``X (n, p)`` and response
     ``y (n,)`` with finite entries. Intercepts are not implicit; append a
-    ones column if one is wanted. ``X`` and ``y`` are read-only views of
-    the arrays passed in (not copies: do not modify those afterwards). Row
-    weights are evaluated once per dataset and weight function, and a row
-    subset keeps the weights of its rows."""
+    ones column if one is wanted. ``X`` and ``y`` are read-only copies of
+    the arrays passed in, so a later write to those arrays changes no
+    result. Row weights are evaluated once per dataset and weight function,
+    and a row subset keeps the weights of its rows."""
 
     X: np.ndarray
     y: np.ndarray
@@ -52,22 +52,8 @@ class Dataset:
         if x.shape[0] != y.shape[0]:
             raise InvalidInputError(
                 f"X has {x.shape[0]} rows but y has length {y.shape[0]}")
-        for name, value in (("X", x.view()), ("y", y.view())):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_weight_memo", {})
-
-    @property
-    def n_obs(self):
-        return self.X.shape[0]
-
-    @property
-    def n_features(self):
-        return self.X.shape[1]
-
-    def __reduce__(self):
-        # copies and pickles rebuild: read-only views, an empty weight memo
-        return Dataset, (self.X, self.y)
+        self._own(X=x, y=y)
+        self._keep(_weight_memo={})
 
     def subset_rows(self, keep):
         # weights are per row, so the retained rows keep the memoised ones

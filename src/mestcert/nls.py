@@ -67,7 +67,6 @@ class LinkSpec:
     c1: Callable
     c2: Callable
     alpha: float = 1.0
-    name: str = ""
 
 
 def logistic_link():
@@ -86,7 +85,6 @@ def logistic_link():
         c1=lambda x: SIGMOID_D2_SUP * float(np.linalg.norm(x)),
         c2=lambda x: SIGMOID_D3_SUP * float(np.linalg.norm(x)),
         alpha=1.0,
-        name="logistic",
     )
 
 
@@ -100,7 +98,6 @@ def identity_link():
         c1=lambda x: 0.0,
         c2=lambda x: 0.0,
         alpha=1.0,
-        name="identity",
     )
 
 

@@ -62,7 +62,7 @@ import numpy as np
 
 from . import glm
 from .errors import ConvergenceError, InvalidInputError, SingularMatrixError
-from .numkit import lu_factorization
+from .numkit import as_parameter, lu_factorization
 
 #: tolerance on ||score(theta_hat)|| for accepting a root input
 ROOT_SCORE_TOL = 1e-8
@@ -149,7 +149,7 @@ class _DeletionContext:
     multi-right-hand-side solve, and the rows ordered by norm."""
 
     def __init__(self, data, family, theta_hat):
-        theta_hat = np.asarray(theta_hat, dtype=float)
+        theta_hat = as_parameter(theta_hat, data.n_features, "theta_hat")
         score_norm = float(np.linalg.norm(glm.score(data, family, theta_hat)))
         if score_norm > ROOT_SCORE_TOL:
             raise InvalidInputError(
@@ -311,15 +311,9 @@ def screen_marginal(data, family, targets="plug-in", q_refs=None):
             raise InvalidInputError(f"unknown target spec {targets!r}")
         tvec = None
     else:
-        tvec = np.asarray(targets, dtype=float)
-        if tvec.shape != (p,):
-            raise InvalidInputError(
-                f"targets must have shape ({p},), got {tvec.shape}")
+        tvec = as_parameter(targets, p, "targets")
     if q_refs is not None:
-        q_refs = np.asarray(q_refs, dtype=float)
-        if q_refs.shape != (p,):
-            raise InvalidInputError(
-                f"q_refs must have shape ({p},), got {q_refs.shape}")
+        q_refs = as_parameter(q_refs, p, "q_refs")
 
     coords = []
     for j in range(p):
@@ -395,12 +389,12 @@ def posi_sweep(data, family, models, targets="plug-in", exact=False):
         else:
             if key not in targets:
                 raise InvalidInputError(f"no target supplied for model {key}")
-            target = np.asarray(targets[key], dtype=float)
+            target = as_parameter(targets[key], len(key),
+                                  f"target of model {key}")
         cert = glm.certify(sub, family, target)
         refit = None
         if exact:
-            refit = (target.copy() if plug_in
-                     else glm.fit(sub, family, tol=FIT_TOL))
+            refit = target if plug_in else glm.fit(sub, family, tol=FIT_TOL)
         entries.append(PosiModel(indices=key, certificate=cert,
                                  exact_estimate=refit))
     return PosiReport(models=entries,

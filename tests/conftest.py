@@ -44,6 +44,17 @@ def assert_certificate_owns_inputs(certify, *arrays):
                                       err_msg=field.name)
 
 
+def bits(obj):
+    """Every array and scalar inside ``obj`` -- dataclasses, lists and
+    tuples of them -- as bytes, for bitwise comparison of whole results."""
+    if dataclasses.is_dataclass(obj):
+        return tuple(bits(getattr(obj, f.name))
+                     for f in dataclasses.fields(obj))
+    if isinstance(obj, (list, tuple)):
+        return tuple(map(bits, obj))
+    return None if obj is None else np.asarray(obj).tobytes()
+
+
 def gen_glm_instance(kind, n, p, seed, x_scale=None, alpha=1.0):
     """Seeded dataset + family for one of the built-in kinds.
 

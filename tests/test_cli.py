@@ -341,6 +341,14 @@ class TestCommands:
         assert len(report["per_coordinate"]) == 2
         assert report["max_stat_bound"] <= 1e-9
 
+    def test_screen_rejects_a_non_finite_target(self, ols_csv, tmp_path):
+        target = write(tmp_path, "t.txt", "nan\n0.0\n")
+        code, payload = run_cli(["screen", ols_csv, "--family", "squared",
+                                 "--target", target], tmp_path)
+        assert code == 2
+        assert json.loads(payload) == {
+            "error": "targets contains non-finite entries"}
+
     def test_posi_command(self, ols_csv, tmp_path):
         models = write(tmp_path, "models.txt", "1\n2\n1,2\n")
         code, payload = run_cli(["posi", ols_csv, "--family", "squared",

@@ -219,6 +219,45 @@ class TestCertifyConstrained:
                                 alpha=2.0)
 
 
+class TestCallbackValues:
+    """p = 3 with one constraint; callbacks of the wrong shape."""
+
+    def problem(self):
+        data, fam = gen_glm_instance("poisson", 50, 3, seed=515)
+        return (*glm_callables(data, fam), np.ones((1, 3)), np.zeros(1))
+
+    def test_short_gradient_is_a_typed_error(self):
+        grad, hess, a, b = self.problem()
+        short = lambda beta: grad(beta)[:2]  # noqa: E731
+        with pytest.raises(InvalidInputError, match="gradient has length 2"):
+            certify_constrained(short, hess, a, b, np.zeros(3))
+        with pytest.raises(InvalidInputError, match="gradient has length 2"):
+            kkt_solve(short, hess, a, b)
+
+    def test_small_hessian_is_a_typed_error(self):
+        grad, hess, a, b = self.problem()
+        small = lambda beta: hess(beta)[:2, :2]  # noqa: E731
+        with pytest.raises(InvalidInputError, match=r"Hessian has shape"):
+            kkt_solve(grad, small, a, b)
+        with pytest.raises(InvalidInputError, match=r"Hessian has shape"):
+            certify_constrained(grad, small, a, b, np.zeros(3))
+
+    def test_non_finite_gradient_at_a_candidate_is_rejected(self):
+        # the first full Newton step lands on a NaN gradient: the line
+        # search halves the step instead of raising
+        grad, hess, a, b = self.problem()
+        calls = []
+
+        def flaky(beta):
+            calls.append(1)
+            return grad(beta) * (np.nan if len(calls) == 2 else 1.0)
+
+        point = kkt_solve(flaky, hess, a, b, tol=1e-12)
+        assert len(calls) > 2
+        assert point.primal_residual <= 1e-12
+        assert point.dual_residual <= 1e-12
+
+
 class TestProjectorGeometry:
     def test_projector_identity(self):
         # P = H^-1 A^T (A H^-1 A^T)^-1 A is idempotent; conjugating by

@@ -6,7 +6,8 @@ import pickle
 import cox_reference as ref
 import numpy as np
 import pytest
-from conftest import assert_certificate_owns_inputs, gen_survival_instance
+from conftest import (assert_certificate_owns_inputs, bits,
+                      gen_survival_instance)
 from finite_differences import fd_jacobian
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,7 +60,7 @@ class TestDataValidation:
         np.testing.assert_array_equal(data.h2_weights, np.ones(30))
 
     def test_arrays_are_read_only(self):
-        # time_order and the weights are derived from these at construction
+        # the weights and the pass geometry are derived from these
         data = gen_survival_instance(10, 2, seed=214)
         for copy in (data, pickle.loads(pickle.dumps(data))):
             with pytest.raises(ValueError):
@@ -617,10 +618,29 @@ class TestOnePass:
         cox_score(data, np.zeros(2))  # the memo no longer holds beta
         x[...] = np.random.default_rng(245).normal(size=x.shape)
         t[...] = t[::-1].copy()
-        assert data.X[0, 0] == x[0, 0]  # data.X is still a view
+        assert data.X.tobytes() == base.X.tobytes()  # data.X is a copy
         assert cox_score(data, beta).tobytes() == before[0].tobytes()
         _assert_fields_equal(mu_profile(data, beta), before[1])
         _assert_fields_equal(certify_cox(data, beta), before[2])
+
+    def test_dataset_owns_every_input_array(self):
+        base = gen_survival_instance(30, 2, seed=247)
+        x, t, s = base.X.copy(), base.time.copy(), base.status.copy()
+        data = SurvivalDataset(X=x, time=t, status=s, h2=_h1)
+        beta = np.array([0.2, -0.3])
+
+        def results():
+            return (data.X, data.time, data.status, data.h2_weights,
+                    cox_objective(data, beta), cox_score(data, beta),
+                    cox_jacobian(data, beta), mu_profile(data, beta),
+                    certify_cox(data, beta), fit_cox(data, tol=1e-12))
+
+        before = bits(results())
+        x[...] = np.random.default_rng(247).normal(size=x.shape)
+        t[...] = t[::-1].copy()
+        s[...] = ~s
+        s[0] = True
+        assert bits(results()) == before
 
     def test_certificate_owns_its_target(self):
         data = gen_survival_instance(30, 2, seed=246)

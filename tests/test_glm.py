@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import assert_certificate_owns_inputs, gen_glm_instance
+from conftest import assert_certificate_owns_inputs, bits, gen_glm_instance
 from finite_differences import fd_jacobian
 
 from mestcert import (ConvergenceError, Dataset, InvalidInputError,
                       SingularMatrixError, certify, delta, fit, hessian,
                       hessian_holder_constant, loo_sweep, make_family,
-                      op_norm, score, solve_linear)
+                      op_norm, posi_sweep, score, screen_marginal,
+                      solve_linear)
 from mestcert import glm, resample
 from mestcert.cli import dump_json
 from mestcert.glm import objective
@@ -465,6 +466,29 @@ class TestWeightsOnce:
         assert twin._weight_memo == {}
         assert not twin.X.flags.writeable and not twin.y.flags.writeable
         assert score(twin, fam, theta).tobytes() == expected.tobytes()
+
+    def test_results_keep_their_bits_after_the_caller_writes(self):
+        # the first round fills the weight memo, which must never meet
+        # rows written after construction
+        base, _ = gen_glm_instance("logistic", 40, 3, seed=6619)
+        x, y = base.X.copy(), base.y.copy()
+        fam = make_family("logistic", weight=_weight)
+        data = Dataset(X=x, y=y)
+        theta = np.array([0.1, -0.2, 0.3])
+
+        def results():
+            root = fit(data, fam, tol=1e-12)
+            return (data.X, data.y, score(data, fam, theta),
+                    hessian(data, fam, theta), objective(data, fam, theta),
+                    certify(data, fam, theta), root,
+                    loo_sweep(data, fam, root, [(0,), (1, 2)]),
+                    screen_marginal(data, fam),
+                    posi_sweep(data, fam, [(0, 1), (2,)]))
+
+        before = bits(results())
+        x[...] = np.random.default_rng(6619).normal(size=x.shape)
+        y[...] = 1.0 - y
+        assert bits(results()) == before
 
     def test_arrays_are_read_only(self):
         data, _ = gen_glm_instance("squared", 10, 2, seed=6620)

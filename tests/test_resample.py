@@ -102,6 +102,15 @@ class TestLooApprox:
             np.testing.assert_array_equal(single.approx_estimate,
                                           entry.approx_estimate)
 
+    def test_report_owns_theta_hat(self):
+        # a twin of conftest.assert_certificate_owns_inputs for a report
+        data, fam = gen_glm_instance("logistic", 30, 2, seed=617)
+        theta_hat = fit(data, fam)
+        report = loo_sweep(data, fam, theta_hat)
+        want = report.theta_hat.copy()
+        theta_hat[...] = 7.0
+        assert report.theta_hat.tobytes() == want.tobytes()
+
 
 class TestLooSoundness:
     @pytest.mark.parametrize("kind,n,floor", [("squared", 100, 100),
@@ -322,6 +331,18 @@ class TestScreenMarginal:
             screen_marginal(data, SQ, targets="bogus")
         with pytest.raises(InvalidInputError):
             screen_marginal(data, SQ, targets=np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_raise_before_any_fit(self, bad, monkeypatch):
+        data, _ = gen_glm_instance("squared", 20, 3, seed=616)
+        fits = []
+        monkeypatch.setattr(resample.glm, "fit",
+                            lambda *args, **kw: fits.append(1))
+        with pytest.raises(InvalidInputError, match="targets"):
+            screen_marginal(data, SQ, targets=[bad, 0.0, 0.0])
+        with pytest.raises(InvalidInputError, match="q_refs"):
+            screen_marginal(data, SQ, q_refs=[1.0, 1.0, bad])
+        assert fits == []
 
 
 class TestPosiSweep:
