@@ -27,7 +27,8 @@ means behind ``mu_profile`` -- come from one vectorised pass that costs
 * Everything above is free of ``beta``: building a ``SurvivalDataset``
   stores the risk-set ends, the centred sorted rows and their squared
   norms, the centred event rows and the ``H1``/``H2`` weights in sorted
-  order, and every pass reads them.
+  order, and every pass reads them. It also stores the rows' order by
+  distance from ``c``, which ``mu_profile`` searches (below).
 * Reverse cumulative sums of ``r = H2 exp(eta - shift)`` and ``r x`` give
   every ``R_n`` and tilted mean. A single global shift would underflow the
   late, small risk sets when ``eta`` spans hundreds of units, so the shift
@@ -62,8 +63,44 @@ The certificate condition is ``sup_s mu_n(s) * delta <= 1/16`` with
 ``delta = 1.5 ||Qhat^-1 Zhat||_2``, and the one-step expansion error is
 bounded by ``8 e^{1/4} delta^2 sup_s mu_n(s)``. The max over ``i`` runs over
 *all* rows, censored ones and rows never at risk included (the literal
-form). ``mu_profile`` picks each event's farthest row from a chunked Gram
-product and recomputes that row's distance from the direct difference.
+form). ``mu_profile`` finds each event's farthest row by an exact pruned
+search, the triangle-inequality device of Elkan's accelerated k-means
+(ICML 2003):
+
+* Building the dataset sorts the rows by ``r_j = ||x_j - c||``, largest
+  first, once.
+* Every event scans the ``_MU_HEAD`` rows of largest ``r`` in one Gram
+  block. With ``q = ||xbar - c||``, row j's Gram value
+  ``g_j = ||x_j - xbar||^2 - q^2`` is at most ``(r_j + q)^2 - q^2``, so
+  only rows with ``(r_j + q)^2 >= top + q^2 - E`` can reach the head's
+  largest value ``top``. They form a prefix of the sorted order, which
+  ``searchsorted`` finds.
+* The margin ``E = (2p + 8) eps (r_max + q)^2`` is derived, not tuned: a
+  computed Gram value is within ``(p + 1) u (r_max + q)^2`` of the exact
+  one (``u = eps / 2``), and the rounding of ``r``, ``q`` and the test adds
+  less than ``(p + 9) u (r_max + q)^2``. Three Gram errors plus that stay
+  below ``(4p + 16) u``, so the prefix holds every row that a Gram scan over
+  all rows could pick, in its own rounding or in this one's.
+* Events whose prefix is longer than the head are searched again, sorted
+  by prefix length and grouped within a factor 2 of it, one Gram block per
+  group over the group's longest prefix.
+* The largest Gram value wins, and on exact ties the row that comes first
+  in the pass's order (descending time, ties by index), as in a scan over
+  every row; the chosen row's distance is recomputed from the direct
+  difference. BLAS may round a Gram entry differently in blocks of
+  different shapes, so two rows exactly equally far from ``xbar`` whose
+  recomputed distances differ in the last bit can be picked differently
+  than by the full scan, moving ``mu_n`` by an ulp. Seeded pools and 11000
+  integer-valued instances showed no such case; one appeared only when the
+  head was cut to a single row.
+
+The search costs ``O(events * (_MU_HEAD + k) * p)``, with ``k`` the mean
+prefix beyond the head, in place of ``O(events * n * p)``. Prefixes are
+short unless many rows lie nearly as far from ``c`` as the farthest one:
+on ``gen_survival_instance`` data at ``p = 5`` the longest was 70 rows at
+``n = 20000`` and 41 at ``n = 10^5``. When every row is equally far from
+``c`` every prefix is the whole dataset, and the search costs what the full
+scan does.
 
 ``softmax_ratio_check`` exposes the underlying scalar inequality -- the
 second derivative of ``t -> log sum_i w_i exp(a_i t)`` moves by at most the
@@ -89,6 +126,9 @@ COX_EXPANSION_CONST = 8.0 * np.exp(0.25)
 _REBASE_MARGIN = 300.0
 #: elements per Gram block in mu_profile
 _MU_CHUNK = 1 << 18
+#: rows of largest ||x_j - c|| that mu_profile searches for every event
+_MU_HEAD = 32
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -115,7 +155,11 @@ class SurvivalDataset(_DatasetCore):
     def __post_init__(self):
         x = as_matrix(self.X, "X")
         t = as_vector(self.time, "time")
-        s = np.asarray(self.status, dtype=bool)
+        s = np.asarray(self.status)
+        if s.dtype != bool and not np.all((s == 0) | (s == 1)):
+            raise InvalidInputError(
+                "status must hold booleans or the values 0 and 1")
+        s = s.astype(bool, copy=False)
         if s.ndim != 1:
             raise InvalidInputError("status must be 1-dimensional")
         if not (x.shape[0] == t.shape[0] == s.shape[0]):
@@ -139,11 +183,16 @@ class SurvivalDataset(_DatasetCore):
         xs = x[order]
         centre = np.mean(xs[:m], axis=0)
         xs -= centre
+        sq = np.einsum("ij,ij->i", xs, xs)
+        r = np.sqrt(sq)
+        by_r = np.argsort(-r, kind="stable")  # descending ||x_j - c||
         self._keep(h1_weights=h1w, h2_weights=h2w,
                    _event_times=t[ev], _ends=ends, _xs=xs,
                    _h2=h2w[order[:m]], _h1=h1w[ev],
-                   _xe=x[ev] - centre,
-                   _sq=np.einsum("ij,ij->i", xs, xs),
+                   _xe=x[ev] - centre, _sq=sq,
+                   # mu_profile's candidate order: positions in _xs, and
+                   # -||x_j - c|| ascending for searchsorted
+                   _by_r=by_r, _neg_r=-r[by_r],
                    # (beta.tobytes(), _RiskPass) of the last pass
                    _last_pass=None)
 
@@ -303,22 +352,57 @@ def mu_profile(data, beta0):
     """Largest distance from any row to each event's tilted risk-set mean."""
     beta0 = as_parameter(beta0, data.n_features, "beta")
     xbar = _risk_pass(data, beta0).xbar
-    xs, sq = data._xs, data._sq
-    n_obs, n_ev = xs.shape[0], xbar.shape[0]
-    mu = np.empty(n_ev)
-    step = max(1, _MU_CHUNK // n_obs)
-    for lo in range(0, n_ev, step):
-        hi = min(lo + step, n_ev)
-        xb = xbar[lo:hi]
-        # ||x_j - xbar||^2 up to a per-event constant: it only picks the
-        # farthest row, whose distance is recomputed without cancellation
-        d2 = xb @ xs.T
-        d2 *= -2.0
-        d2 += sq
-        far = np.argmax(d2, axis=1)
-        mu[lo:hi] = np.linalg.norm(xs[far] - xb, axis=1)
+    # every event against the head first; the rows that can still reach an
+    # event's best Gram value there form a prefix of the r order (module
+    # docstring), and events whose prefix outgrows the head are searched
+    # again, grouped by prefix length within a factor 2
+    far, top = _farthest(data, xbar, _MU_HEAD)
+    q2 = np.einsum("ij,ij->i", xbar, xbar)
+    q = np.sqrt(q2)
+    margin = q - data._neg_r[0]           # q + r_max
+    margin *= margin
+    margin *= (2 * data.n_features + 8) * _EPS
+    # the smallest r_j + q that can still reach top
+    reach = np.sqrt(np.maximum(top + q2 - margin, 0.0))
+    count = data._neg_r.searchsorted(q - reach, side="right")
+    more = np.flatnonzero(count > _MU_HEAD)
+    if more.size:
+        more = more[np.argsort(count[more], kind="stable")]
+        sizes = count[more]
+        lo = 0
+        while lo < more.size:
+            hi = int(sizes.searchsorted(2 * sizes[lo], side="right"))
+            ev = more[lo:hi]
+            far[ev] = _farthest(data, xbar[ev], int(sizes[hi - 1]))[0]
+            lo = hi
+    mu = np.linalg.norm(data._xs[far] - xbar, axis=1)
     return MuProfile(event_times=data._event_times.copy(), mu_all_rows=mu,
                      sup_all_rows=float(np.max(mu)))
+
+
+def _farthest(data, xbar, c):
+    """Each event's farthest row among the ``c`` rows of largest ``r``: its
+    position in ``_xs`` and its Gram value ``||x_j||^2 - 2 x_j . xbar``.
+
+    The largest Gram value wins, and on exact ties the lowest position, as
+    in a scan over every row: the candidates are taken in position order,
+    where ``argmax`` returns the first maximum.
+    """
+    cols = np.sort(data._by_r[:c])
+    xc, sqc = data._xs[cols], data._sq[cols]
+    far = np.empty(xbar.shape[0], dtype=np.intp)
+    top = np.empty(xbar.shape[0])
+    step = max(1, _MU_CHUNK // cols.size)
+    for lo in range(0, xbar.shape[0], step):
+        # ||x_j - xbar||^2 up to a per-event constant: it only picks the
+        # farthest row, whose distance is recomputed without cancellation
+        d2 = xbar[lo:lo + step] @ xc.T
+        d2 *= -2.0
+        d2 += sqc
+        j = np.argmax(d2, axis=1)
+        far[lo:lo + step] = cols[j]
+        top[lo:lo + step] = d2[np.arange(j.size), j]
+    return far, top
 
 
 def certify_cox(data, beta0):

@@ -27,7 +27,6 @@ arrays. Sparse and complex inputs are out of scope.
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -210,10 +209,16 @@ def _factor(a):
     scale = float(np.max(np.abs(a)))
     if scale == 0.0:
         raise SingularMatrixError("matrix is identically zero", 0.0)
-    with warnings.catch_warnings():
-        # singularity is detected from the pivots below, not from the warning
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    # LAPACK getrf and getrs, called directly: the bits of
+    # scipy.linalg.lu_factor and lu_solve without their per-call wrapper
+    # cost, which dominates the small factorizations and solves made once per
+    # Newton iteration (5x5 on a 2-core host: this whole function about 14 us
+    # against 37 through lu_factor, a solve about 0.6 us against 8-10). An
+    # exactly zero pivot (info > 0) is caught by the pivot test below.
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (a,))
+    lu, piv, info = getrf(a)
+    if info < 0:
+        raise InvalidInputError(f"illegal value in argument {-info} of getrf")
     smallest = float(np.abs(np.diag(lu)).min())
     if smallest < SINGULAR_PIVOT_RTOL * scale:
         raise SingularMatrixError(
@@ -222,11 +227,6 @@ def _factor(a):
             f"max entry {scale:.3e})",
             smallest,
         )
-    # LAPACK getrs, called directly: the same bits as scipy.linalg.lu_solve
-    # without its per-call wrapper cost, which dominates the small solves
-    # made once per Newton iteration (a 5x5 solve on a 2-core Xeon: about
-    # 0.6 us against 8-10 us)
-    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
 
     def solve(rhs):
         r = np.asarray(rhs, dtype=float)

@@ -6,10 +6,15 @@ predictors of that set alone and sums them. It costs ``O(events * n * p)``
 and exists so the one-pass engine in ``mestcert.cox`` can be checked
 against it; the weight callbacks are evaluated afresh here rather than read
 from the dataset.
+
+``gram_mu_profile`` is the other kind of oracle: the all-rows Gram scan that
+``mestcert.cox.mu_profile`` ran before it pruned its search, kept to check
+that the pruned search returns the same bits.
 """
 
 import numpy as np
 
+from mestcert import cox
 from mestcert.errors import DegenerateRiskSetError
 from mestcert.numkit import row_weights
 
@@ -94,4 +99,24 @@ def mu_profile(data, beta):
         active, v, _ = risk_terms(data, beta, i, h2)
         xbar = v @ data.X[active]
         mu[k] = float(np.max(np.linalg.norm(data.X - xbar, axis=1)))
+    return mu
+
+
+def gram_mu_profile(data, beta):
+    """``mu_all_rows`` by the all-rows scan: each event's farthest row is
+    the first maximum of a chunked Gram product over every row of the
+    dataset's centred rows, and its distance is recomputed directly."""
+    xbar = cox._risk_pass(data, np.asarray(beta, dtype=float)).xbar
+    xs, sq = data._xs, data._sq
+    n_obs, n_ev = xs.shape[0], xbar.shape[0]
+    mu = np.empty(n_ev)
+    step = max(1, cox._MU_CHUNK // n_obs)
+    for lo in range(0, n_ev, step):
+        hi = min(lo + step, n_ev)
+        xb = xbar[lo:hi]
+        d2 = xb @ xs.T
+        d2 *= -2.0
+        d2 += sq
+        far = np.argmax(d2, axis=1)
+        mu[lo:hi] = np.linalg.norm(xs[far] - xb, axis=1)
     return mu

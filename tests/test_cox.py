@@ -59,6 +59,28 @@ class TestDataValidation:
         assert len(calls) == 30
         np.testing.assert_array_equal(data.h2_weights, np.ones(30))
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.5, -3.0, 2.0])
+    def test_status_other_than_0_or_1_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="status"):
+            SurvivalDataset(X=[[0.0], [1.0], [2.0]], time=[1.0, 2.0, 3.0],
+                            status=[1.0, bad, 0.0])
+
+    def test_status_as_bool_int_or_float_gives_the_same_bits(self):
+        base = gen_survival_instance(40, 2, seed=215)
+        beta = np.array([0.4, -0.3])
+
+        def results(data):
+            return (data.status, cox_objective(data, beta),
+                    cox_score(data, beta), cox_jacobian(data, beta),
+                    mu_profile(data, beta), certify_cox(data, beta))
+
+        want = bits(results(base))
+        for status in (base.status.astype(float), base.status.astype(int),
+                       base.status.tolist()):
+            data = SurvivalDataset(X=base.X, time=base.time, status=status)
+            assert data.status.dtype == bool
+            assert bits(results(data)) == want
+
     def test_arrays_are_read_only(self):
         # the weights and the pass geometry are derived from these
         data = gen_survival_instance(10, 2, seed=214)
@@ -174,6 +196,144 @@ class TestMuProfile:
             for data, beta in _adversarial_cases(seed):
                 digest.update(mu_profile(data, beta).mu_all_rows.tobytes())
         assert digest.hexdigest() == _MU_ALL_ROWS_SHA256
+
+
+class TestPrunedSearch:
+    """``mu_profile`` searches a short prefix of the rows sorted by distance
+    from the centre; the all-rows Gram scan it replaced is the bit oracle."""
+
+    @staticmethod
+    def assert_same_bits(data, beta):
+        got = mu_profile(data, beta).mu_all_rows
+        assert got.tobytes() == ref.gram_mu_profile(data, beta).tobytes()
+
+    def test_seeded_pool(self):
+        rng = np.random.default_rng(250)
+        for k in range(48):
+            n = int(np.exp(rng.uniform(np.log(2.0), np.log(2000.0))))
+            p = int(rng.integers(1, 9))
+            data = gen_survival_instance(n, p, seed=251 + k)
+            for scale in (0.0, 0.5, 3.0):
+                self.assert_same_bits(data, rng.normal(size=p) * scale)
+
+    @pytest.mark.parametrize("seed", [230, 231, 232])
+    def test_adversarial_cases(self, seed, monkeypatch):
+        prefixes = []
+        farthest = cox._farthest
+
+        def recorded(data, xbar, c):
+            prefixes.append(c)
+            return farthest(data, xbar, c)
+
+        monkeypatch.setattr(cox, "_farthest", recorded)
+        for data, beta in _adversarial_pruning_cases(seed):
+            self.assert_same_bits(data, beta)
+        # the search past the head ran, on the cube's tied rows at least
+        assert max(prefixes) > cox._MU_HEAD
+
+    def test_exact_tie_goes_to_the_first_row_in_pass_order(self):
+        # at the second event two rows of different r have the same Gram
+        # value, and their recomputed distances differ in the last bit:
+        # the row first in the pass's order (descending time) must win
+        data = SurvivalDataset(
+            X=[[1.0, 1.0, 1.0], [3.0, 0.0, 3.0], [2.0, 2.0, 2.0],
+               [-1.0, 3.0, 2.0]],
+            time=[2.0, 2.0, 0.0, 2.0], status=[True, False, True, False])
+        self.assert_same_bits(data, np.zeros(3))
+
+    def test_farthest_row_at_the_end_of_its_prefix(self):
+        # forty rows never at risk at distance 1 from the centre, orthogonal
+        # to the late event's mean (0.1, 0); the row at (-0.905, 0) is
+        # farther from that mean, 1.005 against sqrt(1.01), and it is the
+        # last row of the event's prefix, whose bound is sqrt(1.01) - 0.1
+        head = np.tile([[0.0, 1.0], [0.0, -1.0]], (20, 1))
+        x = np.vstack([head, [[-0.905, 0.0], [-0.1, 0.0], [0.1, 0.0]]])
+        time = np.r_[np.full(41, 0.5), 1.0, 2.0]
+        status = np.r_[np.zeros(41, dtype=bool), True, True]
+        data = SurvivalDataset(X=x, time=time, status=status)
+        self.assert_same_bits(data, np.zeros(2))
+        assert mu_profile(data, np.zeros(2)).mu_all_rows[1] == \
+            pytest.approx(1.005, rel=1e-15)
+
+    def test_farthest_rows_at_scale(self):
+        # n = 10^5: 200 sampled events against a brute-force maximum over
+        # every row; the search picks the row by its Gram value, so the two
+        # may differ where two rows are equally far to within rounding
+        rng = np.random.default_rng(252)
+        data = gen_survival_instance(100_000, 5, seed=253)
+        beta = rng.normal(size=5) * 0.5
+        mu = mu_profile(data, beta).mu_all_rows
+        xbar = cox._risk_pass(data, beta).xbar
+        events = rng.choice(mu.size, size=200, replace=False)
+        brute = [np.max(np.linalg.norm(data._xs - xbar[k], axis=1))
+                 for k in events]
+        np.testing.assert_allclose(mu[events], brute, rtol=4 * EPS, atol=0)
+
+
+def _adversarial_pruning_cases(seed):
+    """The adversarial cases, plus zero-``H2`` rows under a mild and a heavy
+    tilt (``|beta|`` 200 to 300) and twenty rows never at risk that lie
+    farther from the centre than every row at risk."""
+    yield from _adversarial_cases(seed)
+    rng = np.random.default_rng(seed + 2000)
+    base = gen_survival_instance(80, 3, seed=seed)
+    zero = SurvivalDataset(X=base.X, time=base.time, status=base.status,
+                           h2=_h2_with_zeros)
+    yield zero, rng.normal(size=3)
+    heavy = rng.normal(size=3)
+    yield zero, heavy / np.linalg.norm(heavy) * rng.uniform(200.0, 300.0)
+    x, time, status = base.X.copy(), base.time.copy(), base.status.copy()
+    x[:20] *= 4.0
+    time[:20] = rng.uniform(0.0, 0.5, size=20) * time[status].min()
+    status[:20] = False
+    status[20] = True
+    yield SurvivalDataset(X=x, time=time, status=status), rng.normal(size=3)
+
+
+@st.composite
+def pruning_cases(draw):
+    """Instances of up to 200 rows: duplicate rows on an integer grid, rows
+    on a sphere (nearly equally far from the centre, so long prefixes), tied
+    times, zero-``H2`` rows, far outliers and tilts up to 300."""
+    n = draw(st.integers(1, 200))
+    p = draw(st.integers(1, 8))
+    levels = draw(st.integers(1, n))
+    layout = draw(st.sampled_from(["normal", "grid", "sphere"]))
+    outliers = draw(st.sampled_from([0, 1, 5]))
+    zero_h2 = draw(st.sampled_from([0.0, 0.3]))
+    scale = draw(st.sampled_from([0.0, 0.3, 1.0, 3.0, 30.0, 300.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if layout == "grid":
+        x = rng.integers(-1, 2, size=(n, p)).astype(float)
+    else:
+        x = rng.normal(size=(n, p))
+    if layout == "sphere":
+        x /= np.linalg.norm(x, axis=1)[:, None]
+    x[:outliers] *= 1e3
+    time = rng.integers(0, levels, size=n).astype(float)
+    status = rng.uniform(size=n) < 0.7
+    status[rng.integers(n)] = True
+    cut = np.quantile(x[:, -1], 1.0 - zero_h2) if zero_h2 else np.inf
+
+    def h2(row):
+        return 0.0 if row[-1] > cut else 1.0
+
+    data = SurvivalDataset(X=x, time=time, status=status,
+                           h2=h2 if zero_h2 else None)
+    return data, rng.normal(size=p) * scale / np.sqrt(p)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pruning_cases())
+def test_pruned_search_matches_gram_scan_property(case):
+    data, beta = case
+    try:
+        want = ref.gram_mu_profile(data, beta)
+    except DegenerateRiskSetError:
+        with pytest.raises(DegenerateRiskSetError):
+            mu_profile(data, beta)
+        return
+    assert mu_profile(data, beta).mu_all_rows.tobytes() == want.tobytes()
 
 
 class TestCertificate:

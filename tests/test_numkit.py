@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -158,6 +160,43 @@ class TestLuFactorization:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             lu_factorization([[1.0, 2.0], [2.0, 4.0]])
+
+    def test_factors_match_scipy_lu_factor_bitwise(self, monkeypatch):
+        # the factors getrf returns inside the LU core, captured at the call
+        factors = []
+        get_funcs = scipy.linalg.get_lapack_funcs
+
+        def spied(names, arrays=()):
+            getrf, *rest = get_funcs(names, arrays)
+
+            def recorded(a, *args, **kwargs):
+                out = getrf(a, *args, **kwargs)
+                factors.append(out[:2])
+                return out
+
+            return (recorded, *rest)
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spied)
+        rng = np.random.default_rng(45)
+        for k in range(400):
+            n = int(rng.integers(1, 30))
+            a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-5.0, 5.0)
+            if k % 2:
+                a = np.asfortranarray(a)
+            lu_factorization(a)
+            lu, piv = scipy.linalg.lu_factor(a)
+            assert factors[-1][0].tobytes() == lu.tobytes()
+            assert factors[-1][1].tobytes() == piv.tobytes()
+        assert len(factors) == 400
+
+    def test_exactly_singular_raises_without_warning(self):
+        # the second pivot is exactly zero, which scipy's lu_factor reports
+        # with a LinAlgWarning; the pivot test alone decides here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError) as err:
+                lu_factorization([[1.0, 2.0], [2.0, 4.0]])
+        assert err.value.smallest_pivot == 0.0
 
 
 class TestFdJacobian:
