@@ -14,24 +14,23 @@ import types
 from .certify import (ExpansionCertificate, RootCertificate,
                       contraction_certificate, newton_step_certificate)
 from .constrained import (ConstrainedCertificate, KktPoint,
-                          certify_constrained, kkt_solve,
-                          least_squares_multiplier)
+                          certify_constrained, kkt_solve)
 from .cox import (CoxCertificate, MuProfile, SurvivalDataset, certify_cox,
                   cox_jacobian, cox_objective, cox_score, fit_cox,
                   mu_profile, softmax_ratio_check)
 from .errors import (ConvergenceError, DegenerateRiskSetError,
                      InfeasiblePointError, InvalidInputError, MestcertError,
                      RankDeficientError, SingularMatrixError)
-from .glm import (Dataset, GlmCertificate, certify, delta, fit, hessian,
+from .glm import (Dataset, GlmCertificate, certify, fit, hessian,
                   hessian_holder_constant, score)
-from .losses import LossFamily, combine_families, make_family
+from .losses import LossFamily, make_family
 from .nls import (LinkSpec, NlsCertificate, NlsConstants, certify_nls,
                   fit_nls, identity_link, logistic_link, nls_constants,
-                  nls_grad, nls_hess, nls_objective, variation_modulus)
+                  nls_grad)
 from .numkit import op_norm, solve_linear
 from .resample import (LooEntry, LooReport, PosiModel, PosiReport,
-                       ScreenCoordinate, ScreenReport, loo_approx, loo_exact,
-                       loo_sweep, posi_sweep, screen_marginal)
+                       ScreenCoordinate, ScreenReport, loo_exact, loo_sweep,
+                       posi_sweep, screen_marginal)
 
 __version__ = "0.1.0"
 

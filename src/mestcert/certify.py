@@ -85,11 +85,11 @@ def contraction_certificate(f, jac, a_matrix, theta0, radius, variation_bound):
     ----------
     f : callable
         Maps a 1-d array to a 1-d array of the same length.
-    jac : callable or None
+    jac : callable
         Jacobian of ``f``; used only for a cheap center self-check of the
         caller's bound (the claimed supremum includes the center, so a
         violation there disproves the bound and invalidates the
-        certificate). Pass ``None`` to skip.
+        certificate).
     a_matrix : (q, q) array_like
         The linearization ``A``; must be invertible.
     theta0 : (q,) array_like
@@ -126,14 +126,13 @@ def contraction_certificate(f, jac, a_matrix, theta0, radius, variation_bound):
 
     if eps > 1.0:
         return reject(f"contraction constant {eps:.6g} exceeds 1")
-    if jac is not None:
-        j0 = as_matrix(np.asarray(jac(theta0), dtype=float), "jac(theta0)")
-        center_var = op_norm(np.eye(a.shape[0]) - a_solve(j0))
-        if center_var > eps * (1.0 + _CENTER_CHECK_RTOL) + _CENTER_CHECK_RTOL:
-            return reject(
-                f"variation bound {eps:.6g} is already violated at the "
-                f"center ({center_var:.6g}); the supplied bound is not a "
-                f"valid supremum")
+    j0 = as_matrix(np.asarray(jac(theta0), dtype=float), "jac(theta0)")
+    center_var = op_norm(np.eye(a.shape[0]) - a_solve(j0))
+    if center_var > eps * (1.0 + _CENTER_CHECK_RTOL) + _CENTER_CHECK_RTOL:
+        return reject(
+            f"variation bound {eps:.6g} is already violated at the "
+            f"center ({center_var:.6g}); the supplied bound is not a "
+            f"valid supremum")
     if step_norm > radius * (1.0 - eps):
         return reject(
             f"step norm {step_norm:.6g} exceeds radius * (1 - epsilon) = "

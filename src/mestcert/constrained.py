@@ -85,7 +85,7 @@ def check_constraints(a, b):
     return a, b
 
 
-def kkt_matrix(hess_val, a):
+def _kkt_matrix(hess_val, a):
     """Assemble the stacked KKT matrix ``[[H, A^T], [A, 0]]`` for ``A`` of
     shape ``(d, p)``; ``H`` must be a finite ``(p, p)`` matrix."""
     h = as_matrix(hess_val, "Hessian")
@@ -96,7 +96,7 @@ def kkt_matrix(hess_val, a):
     return np.block([[h, a.T], [a, np.zeros((d, d))]])
 
 
-def least_squares_multiplier(grad_val, a):
+def _least_squares_multiplier(grad_val, a):
     """Default multiplier ``nu = -(A A^T)^-1 A grad`` for a target beta."""
     g = as_parameter(grad_val, a.shape[1], "gradient")
     return -solve_linear(a @ a.T, a @ g)
@@ -130,7 +130,7 @@ def kkt_solve(grad, hess, a, b, tol=1e-10, max_iter=100):
         return (g + a.T @ x[p:], a @ x[:p] - b), None
 
     def newton_step(x, r):
-        return -solve_linear(kkt_matrix(hess(x[:p]), a), np.concatenate(r))
+        return -solve_linear(_kkt_matrix(hess(x[:p]), a), np.concatenate(r))
 
     x, (dual, primal) = damped_newton(
         np.concatenate([a.T @ solve_linear(a @ a.T, b), np.zeros(d)]),
@@ -163,13 +163,13 @@ def certify_constrained(grad, hess, a, b, beta0, nu0=None,
 
     grad0 = as_parameter(grad(beta0), p, "gradient")
     if nu0 is None:
-        nu0 = least_squares_multiplier(grad0, a)
+        nu0 = _least_squares_multiplier(grad0, a)
     else:
         nu0 = as_parameter(nu0, d, "nu0")
     g0 = grad0 + a.T @ nu0
 
     h = as_matrix(hess(beta0), "Hessian")
-    k = kkt_matrix(h, a)
+    k = _kkt_matrix(h, a)
     hsolve = lu_factorization(h)
     schur = a @ hsolve(a.T)
     multiplier_gain = op_norm(solve_linear_many(schur, a))

@@ -126,11 +126,6 @@ def hessian(data, family, theta):
     return data.X.T @ (data.X * c[:, None]) / data.n_obs
 
 
-def delta(data, family, theta0):
-    """Certified radius ``1.5 ||Qhat^-1 Zhat||_2`` of :func:`certify`."""
-    return certify(data, family, theta0).delta
-
-
 def fit(data, family, init=None, tol=1e-10, max_iter=100):
     """Solve the estimating equation by damped Newton.
 

@@ -18,13 +18,9 @@ The built-in bounds are
 
 The bounds are uniform in ``y`` and may exceed the exact worst-case ratio,
 so certificates are conservative but never optimistic.
-
-Sums of families stay tractable: the ratio of a sum of positive quadratic
-forms lies between the extreme ratios of its terms (mediant inequality), so
-``combine_families`` simply takes the pointwise max of the two bounds.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +33,10 @@ _CHECK_GRID = np.arange(-3.0, 3.0 + 1e-9, 0.25)
 #: responses the construction check evaluates l'' at
 _CHECK_YS = (0.0, 1.0, 3.0)
 _CHECK_RTOL = 1e-9
+#: the make_family arguments each kind reads besides ``weight``
+_KIND_READS = {"squared": (), "logistic": (), "poisson": (),
+               "negbinomial": ("alpha",),
+               "custom": ("eval0", "eval1", "eval2", "cbound")}
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class LossFamily:
     ----------
     kind : str
         Identifier: ``"squared"``, ``"logistic"``, ``"poisson"``,
-        ``"negbinomial"``, ``"custom"`` or a ``"combine(...)"`` tag.
+        ``"negbinomial"`` or ``"custom"``.
     eval0, eval1, eval2 : callable
         ``(u, y) -> value`` for the loss and its first/second derivative in
         the linear predictor; vectorized over numpy arrays; ``eval2`` must be
@@ -60,8 +60,6 @@ class LossFamily:
         dataset and keep the weights with the dataset for every later call
         with the same weight function, so it must be a pure function of the
         row.
-    params : dict
-        Extra shape parameters (``alpha`` for negative binomial).
     """
 
     kind: str
@@ -70,7 +68,6 @@ class LossFamily:
     eval2: Callable
     cbound: Callable
     weight: Optional[Callable] = None
-    params: dict = field(default_factory=dict)
 
     def row_weights(self, x):
         """Evaluate the weight function on each row of the design matrix."""
@@ -95,14 +92,28 @@ def make_family(kind, alpha=None, eval0=None, eval1=None, eval2=None,
         One of ``"squared"``, ``"logistic"``, ``"poisson"``,
         ``"negbinomial"``, ``"custom"``.
     alpha : float, optional
-        Overdispersion parameter for ``"negbinomial"``; must be positive.
+        Overdispersion parameter for ``"negbinomial"``; must be positive
+        and finite.
     eval0, eval1, eval2, cbound : callable, optional
         Required for ``kind="custom"``; the asserted ``cbound`` is checked
         against ``eval2`` on a fixed grid (at the responses ``_CHECK_YS``)
         and a violation is a hard error.
     weight : callable, optional
         Per-row weight ``h(x)``; defaults to unit weights.
+
+    An argument the kind does not read (``alpha`` for a kind other than
+    ``"negbinomial"``, an evaluator for a built-in kind) is an error, not
+    ignored.
     """
+    if not isinstance(kind, str) or kind not in _KIND_READS:
+        raise InvalidInputError(f"unknown loss kind {kind!r}")
+    given = {"alpha": alpha, "eval0": eval0, "eval1": eval1, "eval2": eval2,
+             "cbound": cbound}
+    unread = [name for name, value in given.items()
+              if value is not None and name not in _KIND_READS[kind]]
+    if unread:
+        raise InvalidInputError(
+            f"{kind} family does not read {', '.join(unread)}")
     if kind == "squared":
         return LossFamily(
             kind="squared",
@@ -139,7 +150,7 @@ def make_family(kind, alpha=None, eval0=None, eval1=None, eval2=None,
             weight=weight,
         )
     if kind == "negbinomial":
-        if alpha is None or not alpha > 0.0:
+        if alpha is None or not 0.0 < alpha < np.inf:
             raise InvalidInputError(
                 f"negbinomial requires a positive alpha, got {alpha}")
         a = float(alpha)
@@ -164,17 +175,15 @@ def make_family(kind, alpha=None, eval0=None, eval1=None, eval2=None,
             eval2=nb2,
             cbound=lambda u: np.exp(3.0 * np.asarray(u, dtype=float)),
             weight=weight,
-            params={"alpha": a},
         )
-    if kind == "custom":
-        if not all(callable(f) for f in (eval0, eval1, eval2, cbound)):
-            raise InvalidInputError(
-                "custom families need eval0, eval1, eval2 and cbound callables")
-        fam = LossFamily(kind="custom", eval0=eval0, eval1=eval1, eval2=eval2,
-                         cbound=cbound, weight=weight)
-        _validate_cbound(fam)
-        return fam
-    raise InvalidInputError(f"unknown loss kind {kind!r}")
+    # the one kind left is "custom"
+    if not all(callable(f) for f in (eval0, eval1, eval2, cbound)):
+        raise InvalidInputError(
+            "custom families need eval0, eval1, eval2 and cbound callables")
+    fam = LossFamily(kind="custom", eval0=eval0, eval1=eval1, eval2=eval2,
+                     cbound=cbound, weight=weight)
+    _validate_cbound(fam)
+    return fam
 
 
 def _validate_cbound(family):
@@ -207,40 +216,3 @@ def _validate_cbound(family):
                 f"curvature bound violated at y={y}: "
                 f"l''({grid[i]}, y)/l''({grid[j]}, y) = {ratio[i, j]:.6g} > "
                 f"cbound({gap[i, j]}) = {bound[i, j]:.6g}")
-
-
-def combine_families(a, family1, b, family2):
-    """Positive combination ``a * L1 + b * L2`` of two loss families.
-
-    The combined curvature bound is the pointwise maximum of the two input
-    bounds: for positive quadratic forms, ``(a1 + a2) / (b1 + b2)`` lies
-    between ``a1/b1`` and ``a2/b2``, so the worse of the two ratios bounds
-    the ratio of the sum. The scale factors cancel and do not appear.
-
-    Both families must share the same weight function (weights multiply the
-    whole per-row loss, so mixing two different weights has no single-family
-    representation).
-    """
-    a = float(a)
-    b = float(b)
-    if not (a > 0.0 and b > 0.0):
-        raise InvalidInputError(f"combination weights must be positive, "
-                                f"got a={a}, b={b}")
-    if family1.weight is not family2.weight:
-        raise InvalidInputError(
-            "combine_families requires both families to share one weight "
-            "function (use weight=None on both for unit weights)")
-
-    e0_1, e0_2 = family1.eval0, family2.eval0
-    e1_1, e1_2 = family1.eval1, family2.eval1
-    e2_1, e2_2 = family1.eval2, family2.eval2
-    c1, c2 = family1.cbound, family2.cbound
-    return LossFamily(
-        kind=f"combine({a}*{family1.kind},{b}*{family2.kind})",
-        eval0=lambda u, y: a * e0_1(u, y) + b * e0_2(u, y),
-        eval1=lambda u, y: a * e1_1(u, y) + b * e1_2(u, y),
-        eval2=lambda u, y: a * e2_1(u, y) + b * e2_2(u, y),
-        cbound=lambda u: np.maximum(np.asarray(c1(u), float),
-                                    np.asarray(c2(u), float)),
-        weight=family1.weight,
-    )

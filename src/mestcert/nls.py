@@ -130,7 +130,7 @@ class NlsCertificate:
     remainder_bound: float
 
 
-def nls_objective(data, link, theta):
+def _nls_objective(data, link, theta):
     """Mean squared residual ``(1/n) sum_i (y_i - g(X_i @ theta))^2``."""
     theta = as_parameter(theta, data.n_features)
     r = data.y - np.asarray(link.g(data.X @ theta), dtype=float)
@@ -146,7 +146,7 @@ def nls_grad(data, link, theta):
     return -(2.0 / data.n_obs) * (data.X.T @ (r * gp))
 
 
-def nls_hess(data, link, theta):
+def _nls_hess(data, link, theta):
     """Hessian ``(2/n) sum_i [g'(u_i)^2 - (y_i - g(u_i)) g''(u_i)] X_i X_i^T``."""
     theta = as_parameter(theta, data.n_features)
     u = data.X @ theta
@@ -166,7 +166,7 @@ def nls_constants(data, link, theta0):
     """
     theta0 = as_parameter(theta0, data.n_features)
     return _nls_constants(data, link, theta0,
-                          lu_factorization(nls_hess(data, link, theta0)))
+                          lu_factorization(_nls_hess(data, link, theta0)))
 
 
 def _nls_constants(data, link, theta0, hsolve):
@@ -191,7 +191,7 @@ def _nls_constants(data, link, theta0, hsolve):
     )
 
 
-def variation_modulus(constants, alpha, r):
+def _variation_modulus(constants, alpha, r):
     """``omega(r)``: certified bound on the relative Hessian variation at
     distance ``r`` from the target."""
     r = float(r)
@@ -210,7 +210,7 @@ def certify_nls(data, link, theta0):
     """
     theta0 = as_parameter(theta0, data.n_features)
     grad = nls_grad(data, link, theta0)
-    hsolve = lu_factorization(nls_hess(data, link, theta0))
+    hsolve = lu_factorization(_nls_hess(data, link, theta0))
     step = -hsolve(grad)
     dlt = 1.5 * float(np.linalg.norm(step))
 
@@ -228,7 +228,7 @@ def certify_nls(data, link, theta0):
         alpha=alpha,
         condition_ok=ok,
         newton_step=step,
-        remainder_bound=variation_modulus(consts, alpha, dlt) * dlt,
+        remainder_bound=_variation_modulus(consts, alpha, dlt) * dlt,
     )
 
 
@@ -243,5 +243,5 @@ def fit_nls(data, link, init, tol=1e-10, max_iter=200):
     theta = as_parameter(init, data.n_features)
     return damped_newton(
         theta, lambda t: (nls_grad(data, link, t), None),
-        lambda t, grad: -solve_linear(nls_hess(data, link, t), grad),
+        lambda t, grad: -solve_linear(_nls_hess(data, link, t), grad),
         tol, max_iter)[0]

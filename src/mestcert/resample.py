@@ -50,8 +50,9 @@ Submodel sweeps
 
 Throughout, targets are caller-supplied or plug-in roots; the library never
 estimates population quantities. Index sets and submodels take distinct
-0-based integer indices (a float is rejected, not truncated). Report
-entries are ordered by sorted key so output is deterministic.
+0-based integer indices (a float is rejected, not truncated, and a bool is
+rejected, not read as 0 or 1). Report entries are ordered by sorted key so
+output is deterministic.
 """
 
 import operator
@@ -225,6 +226,9 @@ def _index_tuple(entries, n, name, unit):
     """``entries`` as a sorted tuple of distinct indices into ``n`` rows or
     columns (``unit``); ``name`` says what the set is in error messages."""
     try:
+        entries = list(entries)
+        if bool in map(type, entries):  # operator.index reads True as 1
+            raise TypeError("a bool is not an index")
         idx = tuple(sorted(map(operator.index, entries)))
     except TypeError as exc:
         raise InvalidInputError(
@@ -245,14 +249,6 @@ def _check_index_set(index_set, n):
     return idx
 
 
-def loo_approx(data, family, theta_hat, index_set):
-    """One-step deletion estimate and certified deviation bound for one
-    index set, as :func:`loo_sweep` gives it. ``theta_hat`` must solve the
-    full-data score equation to ``ROOT_SCORE_TOL``. Never raises on a failed
-    certificate condition; see :class:`LooEntry`."""
-    return loo_sweep(data, family, theta_hat, [index_set]).entries[0]
-
-
 def loo_exact(data, family, index_set, init=None):
     """Oracle refit on the retained rows (no approximation), to ``FIT_TOL``
     within ``REFIT_MAX_ITER`` iterations.
@@ -271,9 +267,12 @@ def loo_sweep(data, family, theta_hat, index_sets=None, exact=False):
     """Deletion sweep sharing one Hessian factorization and one batched
     kernel across index sets.
 
-    ``index_sets=None`` sweeps all singletons. Entries are ordered by their
-    sorted index tuple. With ``exact=True`` each entry also carries the
-    oracle refit (initialized at the full-data root, to ``FIT_TOL``).
+    ``theta_hat`` must solve the full-data score equation to
+    ``ROOT_SCORE_TOL``. ``index_sets=None`` sweeps all singletons. Entries
+    are ordered by their sorted index tuple; a failed certificate condition
+    is reported in its entry (see :class:`LooEntry`), never raised. With
+    ``exact=True`` each entry also carries the oracle refit (initialized at
+    the full-data root, to ``FIT_TOL``).
     """
     ctx = _DeletionContext(data, family, theta_hat)
     if index_sets is None:

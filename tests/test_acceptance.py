@@ -388,9 +388,9 @@ def test_criterion_8_derivative_oracles():
     for _ in range(50):
         theta = rng.normal(size=2) * 0.4
         check(mc.nls_grad(ndata, link, theta),
-              fd_jacobian(lambda t: mc.nls_objective(ndata, link, t),
+              fd_jacobian(lambda t: mc.nls._nls_objective(ndata, link, t),
                           theta, 1e-6)[0], 1.0)
-        check(mc.nls_hess(ndata, link, theta),
+        check(mc.nls._nls_hess(ndata, link, theta),
               fd_jacobian(lambda t: mc.nls_grad(ndata, link, t),
                           theta, 1e-6), 1.0)
     report(8, "analytic gradients/Hessians in glm+cox+nls match central "

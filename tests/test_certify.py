@@ -105,7 +105,7 @@ class TestContraction:
 
     def test_epsilon_above_one_invalid(self):
         cert = contraction_certificate(
-            f=lambda t: t, jac=None, a_matrix=np.eye(1),
+            f=lambda t: t, jac=lambda t: np.eye(1), a_matrix=np.eye(1),
             theta0=np.array([0.0]), radius=1.0,
             variation_bound=lambda r: 1.5)
         assert not cert.valid
@@ -114,13 +114,14 @@ class TestContraction:
     def test_singular_a_raises(self):
         with pytest.raises(SingularMatrixError):
             contraction_certificate(
-                f=lambda t: t, jac=None, a_matrix=np.zeros((2, 2)),
+                f=lambda t: t, jac=lambda t: np.eye(2),
+                a_matrix=np.zeros((2, 2)),
                 theta0=np.zeros(2), radius=1.0, variation_bound=lambda r: 0.0)
 
     def test_negative_bound_rejected(self):
         with pytest.raises(InvalidInputError):
             contraction_certificate(
-                f=lambda t: t, jac=None, a_matrix=np.eye(1),
+                f=lambda t: t, jac=lambda t: np.eye(1), a_matrix=np.eye(1),
                 theta0=np.zeros(1), radius=1.0, variation_bound=lambda r: -0.1)
 
 
@@ -250,4 +251,28 @@ def test_public_names():
     assert mestcert.certify is glm.certify
     assert {"contraction_certificate", "loo_sweep", "solve_linear",
             "SingularMatrixError", "certify_cox"} <= set(mestcert.__all__)
-    assert len(mestcert.__all__) == 62
+
+
+#: every exported name, sorted; a new public name is an edit here
+PUBLIC_NAMES = [
+    "ConstrainedCertificate", "ConvergenceError", "CoxCertificate",
+    "Dataset", "DegenerateRiskSetError", "ExpansionCertificate",
+    "GlmCertificate", "InfeasiblePointError", "InvalidInputError",
+    "KktPoint", "LinkSpec", "LooEntry", "LooReport", "LossFamily",
+    "MestcertError", "MuProfile", "NlsCertificate", "NlsConstants",
+    "PosiModel", "PosiReport", "RankDeficientError", "RootCertificate",
+    "ScreenCoordinate", "ScreenReport", "SingularMatrixError",
+    "SurvivalDataset", "certify", "certify_constrained", "certify_cox",
+    "certify_nls", "contraction_certificate", "cox_jacobian",
+    "cox_objective", "cox_score", "fit", "fit_cox", "fit_nls", "hessian",
+    "hessian_holder_constant", "identity_link", "kkt_solve",
+    "logistic_link", "loo_exact", "loo_sweep", "make_family", "mu_profile",
+    "newton_step_certificate", "nls_constants", "nls_grad", "op_norm",
+    "posi_sweep", "score", "screen_marginal", "softmax_ratio_check",
+    "solve_linear"
+]
+
+
+def test_public_names_pinned():
+    import mestcert
+    assert mestcert.__all__ == PUBLIC_NAMES

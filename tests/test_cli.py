@@ -530,6 +530,15 @@ class TestCommands:
                                  "negbinomial"], tmp_path)
         assert code == 2
         assert "family-alpha" in json.loads(payload)["error"]
+        # an infinite alpha is refused, not certified as a degenerate family
+        for alpha in ("inf", "nan", "0", "-1"):
+            code, payload = run_cli(["certify", ols_csv, "--family",
+                                     "negbinomial", "--family-alpha", alpha],
+                                    tmp_path)
+            assert code == 2
+            assert json.loads(payload) == {
+                "error": f"negbinomial requires a positive alpha, got "
+                         f"{float(alpha)}"}
 
     def test_survival_data_rejected_for_glm_commands(self, survival_csv,
                                                      tmp_path):

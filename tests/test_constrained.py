@@ -6,9 +6,9 @@ from conftest import assert_certificate_owns_inputs, gen_glm_instance
 from mestcert import (ConvergenceError, InfeasiblePointError,
                       InvalidInputError, RankDeficientError,
                       certify_constrained, hessian_holder_constant, kkt_solve,
-                      least_squares_multiplier, op_norm, solve_linear)
+                      op_norm, solve_linear)
 from mestcert import glm
-from mestcert.constrained import check_constraints
+from mestcert.constrained import _least_squares_multiplier, check_constraints
 from mestcert.numkit import solve_linear_many
 
 
@@ -186,7 +186,7 @@ class TestCertifyConstrained:
         beta0 = np.array([0.5, 0.5])
         cert = certify_constrained(grad, hess, a, b, beta0, holder_l=0.0)
         np.testing.assert_allclose(
-            cert.target_nu, least_squares_multiplier(grad(beta0), a),
+            cert.target_nu, _least_squares_multiplier(grad(beta0), a),
             atol=1e-12)
 
     def test_certificate_owns_its_target(self):

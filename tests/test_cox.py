@@ -847,3 +847,23 @@ def test_engine_matches_reference_property(case):
                 fn(data, beta)
         return
     assert_agrees(data, beta)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known false claim, ROADMAP item 2: the Euclidean bracket and "
+    "expansion bound ignore cond(J); drop this marker when it passes"))
+def test_ill_conditioned_cox_claims_hold():
+    # nearly collinear covariates, cond(J) ~ 4e5. The certificate reports
+    # condition_ok, yet the root lies 1.54 delta away and the Newton step
+    # misses it by 3.85 times expansion_bound.
+    data = SurvivalDataset(
+        X=[[5.5, 5.48], [14.1, 14.13], [2.8, 2.78], [0.9, 0.92]],
+        time=[4.0, 2.0, 1.0, 3.0], status=[1, 1, 1, 0])
+    beta0 = np.array([19.92, -19.79])
+    cert = certify_cox(data, beta0)
+    root = fit_cox(data, tol=1e-12)
+    dist = np.linalg.norm(root - beta0)
+    miss = np.linalg.norm(root - beta0 - cert.newton_step)
+    assert not cert.condition_ok or (
+        cert.bracket_lo <= dist <= cert.bracket_hi
+        and miss <= cert.expansion_bound)

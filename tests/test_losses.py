@@ -3,7 +3,7 @@ import pytest
 
 from finite_differences import loss_derivative_check
 
-from mestcert import InvalidInputError, combine_families, make_family
+from mestcert import InvalidInputError, make_family
 from mestcert.losses import sigmoid
 
 GRID = np.arange(-3.0, 3.0 + 1e-9, 0.25)
@@ -47,7 +47,9 @@ class TestBuiltins:
     def test_negbinomial_cbound_and_params(self):
         fam = make_family("negbinomial", alpha=0.7)
         assert float(fam.cbound(1.0)) == pytest.approx(np.exp(3.0), rel=1e-12)
-        assert fam.params["alpha"] == 0.7
+        # alpha lives in the evaluators: l''(0, 0) = 1 / (1 + alpha)^2
+        assert float(fam.eval2(0.0, 0.0)) == pytest.approx(1.0 / 1.7 ** 2,
+                                                          rel=1e-12)
 
     def test_negbinomial_requires_positive_alpha(self):
         with pytest.raises(InvalidInputError):
@@ -56,10 +58,32 @@ class TestBuiltins:
             make_family("negbinomial", alpha=-1.0)
         with pytest.raises(InvalidInputError):
             make_family("negbinomial")
+        for bad in (np.inf, np.nan):
+            with pytest.raises(InvalidInputError,
+                               match="negbinomial requires a positive alpha"):
+                make_family("negbinomial", alpha=bad)
+
+    def test_unread_arguments_rejected(self):
+        # an argument the kind does not read is an error, not ignored
+        f = lambda u, y: np.asarray(u, float)
+        for kind, kwargs, unread in (
+                ("logistic", {"alpha": 2.0}, "alpha"),
+                ("logistic", {"eval0": f}, "eval0"),
+                ("squared", {"alpha": 1.0, "cbound": f}, "alpha, cbound"),
+                ("negbinomial", {"alpha": 1.0, "eval2": f}, "eval2"),
+                ("custom", {"alpha": 1.0, "eval0": f, "eval1": f,
+                            "eval2": f, "cbound": f}, "alpha")):
+            with pytest.raises(InvalidInputError,
+                               match=f"{kind} family does not read {unread}$"):
+                make_family(kind, **kwargs)
+        # weight is read by every kind, and None leaves an argument unset
+        w = lambda x: 1.0
+        assert make_family("poisson", alpha=None, weight=w).weight is w
 
     def test_unknown_kind(self):
-        with pytest.raises(InvalidInputError):
-            make_family("huber")
+        for kind in ("huber", ["logistic"], None):
+            with pytest.raises(InvalidInputError, match="unknown loss kind"):
+                make_family(kind)
 
     def test_curvature_bound_grid(self):
         rng = np.random.default_rng(21)
@@ -73,7 +97,6 @@ class TestBuiltins:
     def test_cbound_normalized_and_monotone(self):
         fams = [make_family(k) for k in ("squared", "logistic", "poisson")]
         fams.append(make_family("negbinomial", alpha=1.3))
-        fams.append(combine_families(1.0, fams[0], 2.0, fams[2]))
         pos_grid = np.arange(0.0, 6.0 + 1e-9, 0.25)
         for fam in fams:
             vals = np.asarray(fam.cbound(pos_grid), dtype=float)
@@ -139,55 +162,34 @@ class TestSigmoid:
 
 
 class TestCombine:
-    def test_same_family_keeps_bound(self):
-        sq = make_family("squared")
-        comb = combine_families(1.0, sq, 1.0, sq)
-        assert float(comb.cbound(2.0)) == 1.0
-        assert float(comb.eval0(1.5, 0.5)) == pytest.approx(2.0 * (1.5 - 0.5) ** 2)
-
-    def test_squared_plus_poisson(self):
-        comb = combine_families(1.0, make_family("squared"), 1.0,
-                                make_family("poisson"))
-        u = np.linspace(0.0, 3.0, 13)
-        np.testing.assert_allclose(np.asarray(comb.cbound(u)), np.exp(u),
-                                   rtol=1e-12)
-
-    def test_logistic_plus_poisson_at_one(self):
-        comb = combine_families(2.0, make_family("logistic"), 3.0,
-                                make_family("poisson"))
-        assert float(comb.cbound(1.0)) == pytest.approx(np.exp(3.0), rel=1e-12)
-
-    def test_order_independence(self):
-        f1 = make_family("logistic")
-        f2 = make_family("poisson")
-        a = combine_families(2.0, f1, 3.0, f2)
-        b = combine_families(3.0, f2, 2.0, f1)
-        rng = np.random.default_rng(22)
-        ys = rng.poisson(1.0, size=GRID.size).astype(float)
-        np.testing.assert_array_equal(np.asarray(a.eval0(GRID, ys)),
-                                      np.asarray(b.eval0(GRID, ys)))
-        np.testing.assert_array_equal(np.asarray(a.cbound(np.abs(GRID))),
-                                      np.asarray(b.cbound(np.abs(GRID))))
-
     def test_combined_bound_validity_on_grid(self):
-        comb = combine_families(0.5, make_family("poisson"), 1.5,
-                                make_family("logistic"))
+        # a positive combination of two families is a custom family whose
+        # bound is the pointwise max of theirs: the ratio of a sum of
+        # positive quadratic forms lies between the ratios of its terms
+        # (mediant inequality), so the construction grid check accepts it
+        f1, f2 = make_family("poisson"), make_family("logistic")
+        comb = make_family(
+            "custom",
+            eval0=lambda u, y: 0.5 * f1.eval0(u, y) + 1.5 * f2.eval0(u, y),
+            eval1=lambda u, y: 0.5 * f1.eval1(u, y) + 1.5 * f2.eval1(u, y),
+            eval2=lambda u, y: 0.5 * f1.eval2(u, y) + 1.5 * f2.eval2(u, y),
+            cbound=lambda u: np.maximum(f1.cbound(u), f2.cbound(u)))
         _assert_curvature_bound(comb, (0.0, 1.0, 3.0))
 
     def test_nonpositive_scale_rejected(self):
+        # without a positive scale the combined curvature is not positive
+        # everywhere, and the custom construction check refuses it
         sq = make_family("squared")
-        with pytest.raises(InvalidInputError):
-            combine_families(0.0, sq, 1.0, sq)
-        with pytest.raises(InvalidInputError):
-            combine_families(1.0, sq, -2.0, sq)
-
-    def test_mismatched_weights_rejected(self):
-        w = lambda x: 1.0
-        f1 = make_family("squared", weight=w)
-        f2 = make_family("squared", weight=lambda x: 2.0)
-        combine_families(1.0, f1, 1.0, make_family("squared", weight=w))
-        with pytest.raises(InvalidInputError):
-            combine_families(1.0, f1, 1.0, f2)
+        for a, b in ((0.0, 0.0), (1.0, -2.0)):
+            with pytest.raises(InvalidInputError,
+                               match="second derivative must be finite and "
+                                     "positive"):
+                make_family(
+                    "custom",
+                    eval0=lambda u, y: a * sq.eval0(u, y) + b * sq.eval0(u, y),
+                    eval1=lambda u, y: a * sq.eval1(u, y) + b * sq.eval1(u, y),
+                    eval2=lambda u, y: a * sq.eval2(u, y) + b * sq.eval2(u, y),
+                    cbound=sq.cbound)
 
 
 class TestCustom:

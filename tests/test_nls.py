@@ -5,10 +5,10 @@ from finite_differences import fd_jacobian
 
 from mestcert import (ConvergenceError, Dataset, InvalidInputError, LinkSpec,
                       certify_nls, fit_nls, identity_link, logistic_link,
-                      make_family, nls_constants, nls_grad, nls_hess,
-                      nls_objective, op_norm, variation_modulus)
+                      make_family, nls_constants, nls_grad, op_norm)
 from mestcert import certify as glm_certify
-from mestcert.nls import SIGMOID_D2_SUP, SIGMOID_D3_SUP
+from mestcert.nls import (SIGMOID_D2_SUP, SIGMOID_D3_SUP, _nls_hess,
+                          _nls_objective, _variation_modulus)
 from mestcert.numkit import lu_factorization, solve_linear
 
 LINK = logistic_link()
@@ -34,7 +34,7 @@ class TestGradHess:
         expected = -(2.0 / 30) * data.X.T @ (data.y - data.X @ theta)
         np.testing.assert_allclose(nls_grad(data, link, theta), expected,
                                    atol=1e-14)
-        np.testing.assert_allclose(nls_hess(data, link, theta),
+        np.testing.assert_allclose(_nls_hess(data, link, theta),
                                    (2.0 / 30) * data.X.T @ data.X, atol=1e-14)
 
     def test_logistic_link_hand_value(self):
@@ -57,10 +57,10 @@ class TestGradHess:
         for _ in range(5):
             theta = rng.normal(size=3) * 0.4
             g = nls_grad(data, LINK, theta)
-            g_fd = fd_jacobian(lambda t: nls_objective(data, LINK, t),
+            g_fd = fd_jacobian(lambda t: _nls_objective(data, LINK, t),
                                theta, 1e-6)[0]
             assert np.linalg.norm(g - g_fd) <= 1e-5 * (1 + np.linalg.norm(g))
-            h = nls_hess(data, LINK, theta)
+            h = _nls_hess(data, LINK, theta)
             h_fd = fd_jacobian(lambda t: nls_grad(data, LINK, t), theta, 1e-6)
             assert np.linalg.norm(h - h_fd) <= 1e-5 * (1 + np.linalg.norm(h))
 
@@ -127,15 +127,15 @@ class TestConstants:
         data = gen_nls_instance(40, 2, seed=408)
         theta0 = fit_nls(data, LINK, np.zeros(2), tol=1e-12)
         consts = nls_constants(data, LINK, theta0)
-        h0 = nls_hess(data, LINK, theta0)
+        h0 = _nls_hess(data, LINK, theta0)
         rng = np.random.default_rng(409)
         for _ in range(30):
             direction = rng.normal(size=2)
             direction /= np.linalg.norm(direction)
             r = rng.uniform(0.0, 0.3)
-            h = nls_hess(data, LINK, theta0 + r * direction)
+            h = _nls_hess(data, LINK, theta0 + r * direction)
             sampled = op_norm(np.linalg.solve(h0, h - h0))
-            assert sampled <= variation_modulus(consts, LINK.alpha, r) \
+            assert sampled <= _variation_modulus(consts, LINK.alpha, r) \
                 * (1 + 1e-9) + 1e-14
 
     @staticmethod
@@ -154,7 +154,7 @@ class TestConstants:
         r = np.abs(data.y - LINK.g(u))
         c0, c1, c2 = (np.array([float(c(row)) for row in data.X])
                       for c in (link.c0, link.c1, link.c2))
-        hsolve = lu_factorization(nls_hess(data, link, theta0))
+        hsolve = lu_factorization(_nls_hess(data, link, theta0))
 
         def norm_of(coefs):
             return op_norm(hsolve((2.0 / 40) * (data.X.T @ (
@@ -180,7 +180,7 @@ class TestConstants:
         data = gen_nls_instance(40, 2, seed=410)
         cert = certify_nls(data, LINK, np.zeros(2))
         radii = np.linspace(0.0, cert.delta, 30)
-        vals = [variation_modulus(cert.l_constants, cert.alpha, r)
+        vals = [_variation_modulus(cert.l_constants, cert.alpha, r)
                 for r in radii]
         assert np.all(np.diff(vals) >= -1e-15)
 
@@ -191,7 +191,7 @@ class TestCertify:
         # same bits as solving and factoring separately
         data = gen_nls_instance(50, 3, seed=415)
         theta0 = np.array([0.2, -0.1, 0.4])
-        step = -solve_linear(nls_hess(data, LINK, theta0),
+        step = -solve_linear(_nls_hess(data, LINK, theta0),
                              nls_grad(data, LINK, theta0))
         consts = nls_constants(data, LINK, theta0)
         del factor_calls[:]

@@ -8,9 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mestcert import (ConvergenceError, Dataset, InvalidInputError,
-                      SingularMatrixError, combine_families, loo_approx,
-                      loo_exact, loo_sweep, make_family, posi_sweep,
-                      screen_marginal)
+                      SingularMatrixError, loo_exact, loo_sweep, make_family,
+                      posi_sweep, screen_marginal)
 from mestcert import certify, fit, hessian, resample
 from mestcert.numkit import op_norm
 
@@ -21,7 +20,7 @@ class TestLooApprox:
     def test_squared_always_certified_and_bound_shape(self):
         data, _ = gen_glm_instance("squared", 50, 2, seed=601)
         theta_hat = fit(data, SQ, tol=1e-12)
-        entry = loo_approx(data, SQ, theta_hat, (3,))
+        entry = loo_sweep(data, SQ, theta_hat, [(3,)]).entries[0]
         assert entry.certified
         # with a constant curvature ratio the bound collapses to
         # 1.5 * delta_I * curvature-mass term
@@ -41,7 +40,7 @@ class TestLooApprox:
         theta_star = np.array([0.8, -0.5])
         data = Dataset(X=x, y=x @ theta_star)
         theta_hat = fit(data, SQ, tol=1e-13)
-        entry = loo_approx(data, SQ, theta_hat, (7,))
+        entry = loo_sweep(data, SQ, theta_hat, [(7,)]).entries[0]
         np.testing.assert_allclose(entry.approx_estimate, theta_hat,
                                    atol=1e-12)
         assert entry.deviation_bound >= 0.0
@@ -51,28 +50,28 @@ class TestLooApprox:
     def test_requires_root(self):
         data, fam = gen_glm_instance("logistic", 40, 2, seed=603)
         with pytest.raises(InvalidInputError, match="not a root"):
-            loo_approx(data, fam, np.array([5.0, 5.0]), (0,))
+            loo_sweep(data, fam, np.array([5.0, 5.0]), [(0,)])
 
     def test_index_validation(self):
         data, _ = gen_glm_instance("squared", 10, 1, seed=604)
         theta_hat = fit(data, SQ, tol=1e-12)
         for bad in ((), (10,), (-1,), (0, 0), tuple(range(10))):
             with pytest.raises(InvalidInputError):
-                loo_approx(data, SQ, theta_hat, bad)
+                loo_sweep(data, SQ, theta_hat, [bad])
 
     def test_non_integer_indices_rejected(self):
         # a float index is an error, not truncated to the row below it
         data, _ = gen_glm_instance("squared", 10, 1, seed=604)
         theta_hat = fit(data, SQ, tol=1e-12)
-        for bad in ((1.7, 2.9), (np.float64(3.0),), ("1",)):
+        # a bool is not read as row 0 or 1, whether Python's or numpy's
+        for bad in ((1.7, 2.9), (np.float64(3.0),), ("1",), (True, False),
+                    (np.True_,)):
             with pytest.raises(InvalidInputError, match="integers"):
                 loo_sweep(data, SQ, theta_hat, index_sets=[bad])
             with pytest.raises(InvalidInputError, match="integers"):
-                loo_approx(data, SQ, theta_hat, bad)
-            with pytest.raises(InvalidInputError, match="integers"):
                 loo_exact(data, SQ, bad)
         # numpy integers are indices
-        entry = loo_approx(data, SQ, theta_hat, (np.int64(3),))
+        entry = loo_sweep(data, SQ, theta_hat, [(np.int64(3),)]).entries[0]
         assert entry.indices == (3,)
 
     def test_denominator_collapse_not_certified(self):
@@ -84,7 +83,7 @@ class TestLooApprox:
         y = np.zeros(6)
         data = Dataset(X=x, y=y)
         theta_hat = fit(data, SQ, tol=1e-13)
-        entry = loo_approx(data, SQ, theta_hat, (5,))
+        entry = loo_sweep(data, SQ, theta_hat, [(5,)]).entries[0]
         assert not entry.certified
         assert entry.delta_i == np.inf
         assert entry.deviation_bound == np.inf
@@ -94,7 +93,7 @@ class TestLooApprox:
         theta_hat = fit(data, fam, tol=1e-12)
         report = loo_sweep(data, fam, theta_hat)
         for i in (0, 17, 59):
-            single = loo_approx(data, fam, theta_hat, (i,))
+            single = loo_sweep(data, fam, theta_hat, [(i,)]).entries[0]
             entry = report.entries[i]
             assert entry.indices == (i,)
             assert single.delta_i == entry.delta_i
@@ -187,6 +186,19 @@ def _logcosh_family(weight):
         weight=weight)
 
 
+def _logistic_poisson_family(weight):
+    # logistic + 0.5 poisson: the ratio of a sum of positive curvatures lies
+    # between the ratios of its terms, so the larger bound covers the sum
+    lg, po = make_family("logistic"), make_family("poisson")
+    return make_family(
+        "custom",
+        eval0=lambda u, y: lg.eval0(u, y) + 0.5 * po.eval0(u, y),
+        eval1=lambda u, y: lg.eval1(u, y) + 0.5 * po.eval1(u, y),
+        eval2=lambda u, y: lg.eval2(u, y) + 0.5 * po.eval2(u, y),
+        cbound=lambda u: np.maximum(lg.cbound(u), po.cbound(u)),
+        weight=weight)
+
+
 @st.composite
 def deletion_cases(draw):
     """A dataset, a family and a list of index sets of mixed sizes.
@@ -228,8 +240,7 @@ def deletion_cases(draw):
         y = np.concatenate([y, [0.5] if block == 1 else [0.0, 1.0]])
     data = Dataset(X=x, y=y)
     if kind == "combine":
-        family = combine_families(1.0, make_family("logistic", weight=weight),
-                                  0.5, make_family("poisson", weight=weight))
+        family = _logistic_poisson_family(weight)
     elif kind == "custom":
         family = _logcosh_family(weight)
     else:
@@ -416,6 +427,6 @@ class TestPosiSweep:
 
     def test_non_integer_columns_rejected(self):
         data, _ = gen_glm_instance("squared", 30, 2, seed=621)
-        for bad in ([0.5, 1.2], [np.float64(1.0)]):
+        for bad in ([0.5, 1.2], [np.float64(1.0)], [True], [np.True_]):
             with pytest.raises(InvalidInputError, match="integers"):
                 posi_sweep(data, SQ, [bad])
