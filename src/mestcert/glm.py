@@ -41,7 +41,9 @@ class Dataset(_DatasetCore):
     ones column if one is wanted. ``X`` and ``y`` are read-only copies of
     the arrays passed in, so a later write to those arrays changes no
     result. Row weights are evaluated once per dataset and weight function,
-    and a row subset keeps the weights of its rows."""
+    and a row subset keeps the weights of its rows. The row terms at the
+    last point evaluated are kept too (one slot), so the score, objective
+    and Hessian at one point share its predictor and family evaluations."""
 
     X: np.ndarray
     y: np.ndarray
@@ -53,7 +55,9 @@ class Dataset(_DatasetCore):
             raise InvalidInputError(
                 f"X has {x.shape[0]} rows but y has length {y.shape[0]}")
         self._own(X=x, y=y)
-        self._keep(_weight_memo={})
+        # (theta.tobytes(), family, weights, X @ theta, terms by order) of
+        # the last point _row_terms evaluated
+        self._keep(_weight_memo={}, _last_terms=None)
 
     def subset_rows(self, keep):
         # weights are per row, so the retained rows keep the memoised ones
@@ -92,14 +96,27 @@ class GlmCertificate:
 
 def _row_terms(data, family, theta, order):
     """``h(X_i) l^(order)(X_i @ theta, y_i)`` per row (order 0, 1 or 2), with
-    ``theta`` validated and ``h`` evaluated once per dataset and weight."""
+    ``theta`` validated and ``h`` evaluated once per dataset and weight.
+
+    The result is read-only: it is kept in the dataset's one-slot memo,
+    which serves every order at the last ``theta`` (compared by bytes) and
+    ``family`` (by identity) from one predictor ``X @ theta``."""
     theta = as_parameter(theta, data.n_features)
-    memo, fn = data._weight_memo, family.weight
-    if id(fn) not in memo:  # the entry keeps fn, so its id stays unique
-        memo[id(fn)] = (fn, family.row_weights(data.X))
-    evaluate = (family.eval0, family.eval1, family.eval2)[order]
-    return memo[id(fn)][1] * np.asarray(evaluate(data.X @ theta, data.y),
-                                        dtype=float)
+    key = theta.tobytes()
+    last = data._last_terms
+    if last is None or last[0] != key or last[1] is not family:
+        memo, fn = data._weight_memo, family.weight
+        if id(fn) not in memo:  # the entry keeps fn, so its id stays unique
+            memo[id(fn)] = (fn, family.row_weights(data.X))
+        last = (key, family, memo[id(fn)][1], data.X @ theta, [None] * 3)
+        data._keep(_last_terms=last)
+    weights, eta, terms = last[2:]
+    if terms[order] is None:
+        evaluate = (family.eval0, family.eval1, family.eval2)[order]
+        rows = weights * np.asarray(evaluate(eta, data.y), dtype=float)
+        rows.flags.writeable = False
+        terms[order] = rows
+    return terms[order]
 
 
 def _curvature_ratio(family, gaps):

@@ -130,13 +130,6 @@ class NlsCertificate:
     remainder_bound: float
 
 
-def _nls_objective(data, link, theta):
-    """Mean squared residual ``(1/n) sum_i (y_i - g(X_i @ theta))^2``."""
-    theta = as_parameter(theta, data.n_features)
-    r = data.y - np.asarray(link.g(data.X @ theta), dtype=float)
-    return float(np.mean(r * r))
-
-
 def nls_grad(data, link, theta):
     """Gradient ``-(2/n) sum_i (y_i - g(u_i)) g'(u_i) X_i``."""
     theta = as_parameter(theta, data.n_features)

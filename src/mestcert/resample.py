@@ -35,6 +35,15 @@ Leave-one/k-out
     of the k+1 largest norms that ``I`` does not delete. An all-singleton
     sweep thus costs ``O(n p^2 + p^3)``, with no ``O(n)`` work per fold.
 
+    The per-row terms come from the dataset's memo, so a sweep at the root
+    ``glm.fit`` just returned evaluates no loss derivative. The top rows
+    by norm are found once per sweep, for the largest set size, by a
+    partition and a stable sort of its candidates (ties in index order, as
+    a full stable sort would give). Same-size integer index sets are
+    validated and deduplicated as one array, and each chunk's entries are
+    built by filling the frozen instances' dicts, with the fields and bits
+    the constructor would give.
+
 Marginal screening
     Each coordinate is certified through its one-dimensional submodel; the
     per-coordinate radius+expansion envelopes majorize how far the max
@@ -55,6 +64,7 @@ rejected, not read as 0 or 1). Report entries are ordered by sorted key so
 output is deterministic.
 """
 
+import itertools
 import operator
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
@@ -146,8 +156,9 @@ class PosiReport:
 
 class _DeletionContext:
     """Shared full-data quantities for a deletion sweep: the per-row
-    gradient and curvature terms, the rows ``Qhat^-1 x_i`` from one
-    multi-right-hand-side solve, and the rows ordered by norm."""
+    gradient and curvature terms (read from the dataset's row-term memo,
+    which ``glm.fit`` leaves at the root), the row norms and the rows
+    ``Qhat^-1 x_i`` from one multi-right-hand-side solve."""
 
     def __init__(self, data, family, theta_hat):
         theta_hat = as_parameter(theta_hat, data.n_features, "theta_hat")
@@ -164,7 +175,6 @@ class _DeletionContext:
         self.grad_terms = glm._row_terms(data, family, theta_hat, 1)
         self.curv_terms = glm._row_terms(data, family, theta_hat, 2)
         self.row_norms = np.linalg.norm(data.X, axis=1)
-        self.by_norm = np.argsort(-self.row_norms, kind="stable")
         qhat_solve = lu_factorization(glm.hessian(data, family, theta_hat))
         self.lever = np.ascontiguousarray(qhat_solve(data.X.T).T)
 
@@ -173,19 +183,25 @@ class _DeletionContext:
         order; sets of one size go through the kernel in bounded chunks."""
         out = [None] * len(sets)
         sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-        for k in np.unique(sizes).tolist():
+        ks = np.unique(sizes).tolist()
+        # a set of size k reads the k+1 largest norms
+        top = _top_rows(self.row_norms, ks[-1] + 1) if ks else None
+        for k in ks:
             positions = np.flatnonzero(sizes == k).tolist()
             step = max(1, _CHUNK_ELEMENTS // (k * self.X.shape[1]))
             for lo in range(0, len(positions), step):
                 part = positions[lo:lo + step]
                 for pos, entry in zip(part, self._chunk_entries(
-                        [sets[pos] for pos in part])):
+                        [sets[pos] for pos in part], top[:k + 1])):
                     out[pos] = entry
         return out
 
-    def _chunk_entries(self, chunk):
-        rows = np.array(chunk, dtype=np.intp)  # (m, k)
-        m, k = rows.shape
+    def _chunk_entries(self, chunk, top):
+        """Entries of one chunk of size-k sets; ``top`` holds the k+1 rows
+        of largest norm, ties in index order."""
+        m, k = len(chunk), len(chunk[0])
+        rows = np.fromiter(itertools.chain.from_iterable(chunk),
+                           dtype=np.intp, count=m * k).reshape(m, k)
         n = self.n
         lever = self.lever[rows]  # (m, k, p): Qhat^-1 x_i per deleted row
         shift = (lever * self.grad_terms[rows][:, :, None]).sum(axis=1) / n
@@ -210,7 +226,6 @@ class _DeletionContext:
         # cbound is nondecreasing, so its maximum over the retained rows sits
         # at the largest retained norm: the first of the top k+1 rows that
         # the set does not delete
-        top = self.by_norm[:k + 1]
         hit = (rows[:, :, None] == top).any(axis=1)
         max_norm = self.row_norms[top[np.argmin(hit, axis=1)]]
         max_c = np.full(m, np.inf)
@@ -218,8 +233,33 @@ class _DeletionContext:
                                          1.5 * delta[ok] * max_norm[ok])
         certified = max_c <= glm.CONDITION_LIMIT
         bound = 1.5 * delta * (max_c - 1.0 + curv_op)
-        return list(map(LooEntry, chunk, self.theta_hat + shift,
-                        delta.tolist(), certified.tolist(), bound.tolist()))
+        # the frozen __init__ makes six object.__setattr__ calls per entry,
+        # more than the kernel's arithmetic per fold; filling each instance
+        # dict in field order builds the same entries
+        out = [object.__new__(LooEntry) for _ in range(m)]
+        for entry, idx, estimate, d, c, b in zip(
+                out, chunk, list(self.theta_hat + shift), delta.tolist(),
+                certified.tolist(), bound.tolist()):
+            attrs = entry.__dict__
+            attrs["indices"] = idx
+            attrs["approx_estimate"] = estimate
+            attrs["delta_i"] = d
+            attrs["certified"] = c
+            attrs["deviation_bound"] = b
+            attrs["exact_estimate"] = None
+        return out
+
+
+def _top_rows(norms, c):
+    """``np.argsort(-norms, kind="stable")[:c]``: the rows of the ``c``
+    largest norms, ties in index order, from a partition and a stable sort
+    of the candidates at or above the ``c``-th largest norm."""
+    neg = -norms
+    if c >= neg.size:  # all rows, as when the one row of n=1 is deleted
+        return np.argsort(neg, kind="stable")[:c]
+    cut = np.partition(neg, c - 1)[c - 1]
+    candidates = np.flatnonzero(neg <= cut)
+    return candidates[np.argsort(neg[candidates], kind="stable")[:c]]
 
 
 def _index_tuple(entries, n, name, unit):
@@ -247,6 +287,43 @@ def _check_index_set(index_set, n):
     if len(idx) >= n:
         raise InvalidInputError("cannot delete every observation")
     return idx
+
+
+def _check_index_sets(index_sets, n):
+    """The sorted distinct index tuples of ``index_sets``, each validated as
+    by :func:`_check_index_set`. Same-size tuples, lists or arrays of
+    integers (no bools) that are all valid are checked as one array; any
+    other input goes through the per-set check, which raises the error of
+    the first invalid set."""
+    index_sets = list(index_sets)
+    rows = _same_size_rows(index_sets)
+    if rows is not None and 0 < rows.shape[1] < n:
+        rows.sort(axis=1)
+        if (rows[:, 0].min() >= 0 and rows[:, -1].max() < n
+                and (np.diff(rows, axis=1) > 0).all()):
+            # deduplicate in lexicographic order, the order of sorted tuples
+            rows = rows[np.lexsort(rows.T[::-1])]
+            rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+            return list(map(tuple, rows.tolist()))
+    return sorted({_check_index_set(s, n) for s in index_sets})
+
+
+def _same_size_rows(index_sets):
+    """``index_sets`` as an ``(m, k)`` integer array when every set is a
+    tuple, list or array of ``k`` integer entries, else ``None``."""
+    try:
+        if (not index_sets
+                or not {tuple, list, np.ndarray}.issuperset(
+                    map(type, index_sets))
+                or len(set(map(len, index_sets))) != 1
+                or not all(t is int or issubclass(t, np.integer) for t in set(
+                    map(type, itertools.chain.from_iterable(index_sets))))):
+            return None
+        m, k = len(index_sets), len(index_sets[0])
+        return np.fromiter(itertools.chain.from_iterable(index_sets),
+                           dtype=np.int64, count=m * k).reshape(m, k)
+    except (TypeError, OverflowError):  # a 0-d array; an entry past int64
+        return None
 
 
 def loo_exact(data, family, index_set, init=None):
@@ -278,7 +355,7 @@ def loo_sweep(data, family, theta_hat, index_sets=None, exact=False):
     if index_sets is None:
         sets = [(i,) for i in range(data.n_obs)]
     else:
-        sets = sorted({_check_index_set(s, data.n_obs) for s in index_sets})
+        sets = _check_index_sets(index_sets, data.n_obs)
     entries = ctx.entries(sets)
     if exact:
         entries = [replace(e, exact_estimate=loo_exact(

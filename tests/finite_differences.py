@@ -1,13 +1,15 @@
 """Finite-difference oracles for the analytic derivatives under test.
 
 The suite checks every analytic gradient, Hessian and loss derivative
-against these central differences; the package itself never uses them.
+against these central differences (the NLS gradient against those of
+``nls_objective``, which the package does not need); the package itself
+never uses them.
 """
 
 import numpy as np
 
 from mestcert import InvalidInputError
-from mestcert.numkit import as_vector
+from mestcert.numkit import as_parameter, as_vector
 
 
 def fd_jacobian(f, theta, h):
@@ -55,3 +57,11 @@ def loss_derivative_check(family, u, y, h):
     fd2 = (float(family.eval1(u + h, y)) - float(family.eval1(u - h, y))) / (2 * h)
     return max(abs(fd1 - float(family.eval1(u, y))),
                abs(fd2 - float(family.eval2(u, y))))
+
+
+def nls_objective(data, link, theta):
+    """Mean squared residual ``(1/n) sum_i (y_i - g(X_i @ theta))^2``, the
+    objective whose gradient is ``nls_grad``."""
+    theta = as_parameter(theta, data.n_features)
+    r = data.y - np.asarray(link.g(data.X @ theta), dtype=float)
+    return float(np.mean(r * r))

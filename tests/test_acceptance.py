@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 from conftest import gen_glm_instance, gen_survival_instance
-from finite_differences import fd_jacobian
+from finite_differences import fd_jacobian, nls_objective
 
 import mestcert as mc
 from mestcert.cli import main as cli_main
@@ -388,7 +388,7 @@ def test_criterion_8_derivative_oracles():
     for _ in range(50):
         theta = rng.normal(size=2) * 0.4
         check(mc.nls_grad(ndata, link, theta),
-              fd_jacobian(lambda t: mc.nls._nls_objective(ndata, link, t),
+              fd_jacobian(lambda t: nls_objective(ndata, link, t),
                           theta, 1e-6)[0], 1.0)
         check(mc.nls._nls_hess(ndata, link, theta),
               fd_jacobian(lambda t: mc.nls_grad(ndata, link, t),

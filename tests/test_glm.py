@@ -531,6 +531,74 @@ class TestWeightsOnce:
         assert score(sub, fam, theta[[0, 2]]).tobytes() == expected.tobytes()
 
 
+def _counting_logistic(counts):
+    # the logistic loss as a custom family that counts its evaluations
+    base = make_family("logistic")
+    counts.update(eval0=0, eval1=0, eval2=0)
+
+    def counted(name):
+        def evaluate(u, y):
+            counts[name] += 1
+            return getattr(base, name)(u, y)
+        return evaluate
+
+    fam = make_family("custom", eval0=counted("eval0"), eval1=counted("eval1"),
+                      eval2=counted("eval2"), cbound=base.cbound,
+                      weight=_weight)
+    counts.update(eval0=0, eval1=0, eval2=0)  # drop the grid check's calls
+    return fam
+
+
+class TestRowTermMemo:
+    def test_alternating_points_and_families_match_a_fresh_dataset(self):
+        data, fam = gen_glm_instance("logistic", 50, 3, seed=6650)
+        families = (fam, make_family("poisson", weight=_weight),
+                    dataclasses.replace(fam))  # equal fields, another object
+        thetas = (np.array([0.1, -0.2, 0.3]), np.array([-0.3, 0.2, 0.0]),
+                  np.array([-0.3, 0.2, -0.0]))
+        for _ in range(2):
+            for theta in thetas:
+                for family in families:
+                    fresh = Dataset(X=data.X, y=data.y)
+                    for f in (objective, score, hessian, objective):
+                        assert bits(f(data, family, theta)) == bits(
+                            f(fresh, family, theta))
+
+    def test_row_terms_are_read_only(self):
+        data, fam = gen_glm_instance("poisson", 20, 2, seed=6655)
+        for order in (0, 1, 2):
+            terms = glm._row_terms(data, fam, np.array([0.2, -0.1]), order)
+            assert not terms.flags.writeable
+            with pytest.raises(ValueError):
+                terms[0] = 1.0
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d)),
+        dataclasses.replace, lambda d: d.subset_rows(np.arange(d.n_obs)),
+        lambda d: d.subset_columns(range(d.n_features))],
+        ids=["copy", "deepcopy", "pickle", "replace", "subset_rows",
+             "subset_columns"])
+    def test_copies_start_with_an_empty_slot(self, clone):
+        data, fam = gen_glm_instance("logistic", 20, 2, seed=6660)
+        theta = np.array([0.2, -0.1])
+        expected = hessian(data, fam, theta)
+        assert data._last_terms is not None
+        twin = clone(data)
+        assert twin._last_terms is None
+        assert hessian(twin, fam, theta).tobytes() == expected.tobytes()
+
+    def test_sweep_after_fit_evaluates_no_derivative(self):
+        counts = {}
+        fam = _counting_logistic(counts)
+        data, _ = gen_glm_instance("logistic", 60, 3, seed=6665)
+        theta = fit(data, fam, tol=1e-12)
+        assert counts["eval1"] > 0 and counts["eval2"] > 0
+        counts.update(eval0=0, eval1=0, eval2=0)
+        report = loo_sweep(data, fam, theta)
+        assert len(report.entries) == data.n_obs
+        assert counts == {"eval0": 0, "eval1": 0, "eval2": 0}
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "known false claim, ROADMAP item 1A: the Euclidean bracket and "
     "expansion bound ignore cond(Qhat); drop this marker when it passes"))

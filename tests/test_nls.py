@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 from conftest import assert_certificate_owns_inputs
-from finite_differences import fd_jacobian
+from finite_differences import fd_jacobian, nls_objective
 
 from mestcert import (ConvergenceError, Dataset, InvalidInputError, LinkSpec,
                       certify_nls, fit_nls, identity_link, logistic_link,
                       make_family, nls_constants, nls_grad, op_norm)
 from mestcert import certify as glm_certify
 from mestcert.nls import (SIGMOID_D2_SUP, SIGMOID_D3_SUP, _nls_hess,
-                          _nls_objective, _variation_modulus)
+                          _variation_modulus)
 from mestcert.numkit import lu_factorization, solve_linear
 
 LINK = logistic_link()
@@ -57,7 +57,7 @@ class TestGradHess:
         for _ in range(5):
             theta = rng.normal(size=3) * 0.4
             g = nls_grad(data, LINK, theta)
-            g_fd = fd_jacobian(lambda t: _nls_objective(data, LINK, t),
+            g_fd = fd_jacobian(lambda t: nls_objective(data, LINK, t),
                                theta, 1e-6)[0]
             assert np.linalg.norm(g - g_fd) <= 1e-5 * (1 + np.linalg.norm(g))
             h = _nls_hess(data, LINK, theta)

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import warnings
 
 import loo_reference as ref
@@ -279,6 +281,89 @@ def test_kernel_matches_reference_property(case):
         np.testing.assert_allclose(got.deviation_bound, want.deviation_bound,
                                    rtol=1e-9)
         assert got.certified == want.certified
+
+
+class TestBulkEntries:
+    def test_bulk_built_entries_match_constructed_ones(self):
+        data, fam = gen_glm_instance("logistic", 40, 3, seed=690)
+        theta_hat = fit(data, fam, tol=1e-12)
+        report = loo_sweep(data, fam, theta_hat,
+                           index_sets=[(0,), (5,), (1, 2), (3, 4, 9)])
+        for entry in report.entries:
+            built = resample.LooEntry(entry.indices, entry.approx_estimate,
+                                      entry.delta_i, entry.certified,
+                                      entry.deviation_bound)
+            assert list(vars(entry).items()) == list(vars(built).items())
+            assert repr(entry) == repr(built)
+            refit = np.full(3, 0.5)
+            assert repr(dataclasses.replace(entry, exact_estimate=refit)) == \
+                repr(dataclasses.replace(built, exact_estimate=refit))
+            assert pickle.dumps(entry) == pickle.dumps(built)
+            assert repr(pickle.loads(pickle.dumps(entry))) == repr(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                entry.delta_i = 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_top_rows_match_a_full_stable_sort(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        levels = rng.choice([1, 2, 3, n], p=[0.3, 0.3, 0.2, 0.2])
+        norms = rng.integers(0, levels, size=n) * 0.5  # heavy ties
+        for c in range(n + 2):
+            assert resample._top_rows(norms, c).tolist() == \
+                np.argsort(-norms, kind="stable")[:c].tolist()
+
+
+def test_one_row_sweep_reports_a_collapsed_fold():
+    data = Dataset(X=[[2.0]], y=[1.0])
+    entry, = loo_sweep(data, SQ, fit(data, SQ)).entries
+    assert entry.indices == (0,) and entry.delta_i == np.inf
+    assert not entry.certified and entry.deviation_bound == np.inf
+
+
+def _outcome(f, *args):
+    """``f(*args)`` or the message of the error it raised."""
+    try:
+        return "ok", repr(f(*args))
+    except InvalidInputError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def index_set_lists(draw):
+    """Lists of index sets that are mostly same-size and valid, with the
+    kinds of entry and set the per-set check rejects mixed in: bools,
+    floats, out-of-range values, duplicates, empty and ragged sets."""
+    n = draw(st.integers(1, 9))
+    size = draw(st.integers(0, 4))
+    plain = st.integers(0, n - 1) | st.integers(0, n - 1).map(np.int64)
+    odd = (st.integers(-2, n + 1) | st.booleans() | st.just(np.True_)
+           | st.sampled_from([0.0, 1.0, 2.5]) | st.integers(0, n).map(np.int32))
+    entries = plain | odd if draw(st.booleans()) else plain
+    ragged = draw(st.booleans())
+    sets = []
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.integers(0, 4)) if ragged else size
+        items = draw(st.lists(entries, min_size=k, max_size=k))
+        sets.append(draw(st.sampled_from([tuple, list, np.array]))(items))
+    return sets, n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(index_set_lists())
+def test_bulk_index_set_check_matches_per_set_check(case):
+    sets, n = case
+    assert _outcome(resample._check_index_sets, sets, n) == _outcome(
+        lambda: sorted({resample._check_index_set(s, n) for s in sets}))
+
+
+def test_same_size_integer_sets_take_the_bulk_path():
+    sets = [(3, 1), (np.int64(1), 3), [0, 2], np.array([4, 0])]
+    assert resample._same_size_rows(sets).tolist() == [[3, 1], [1, 3],
+                                                       [0, 2], [4, 0]]
+    assert resample._check_index_sets(sets, 5) == [(0, 2), (0, 4), (1, 3)]
+    for other in ([(1, True)], [(1, 2), (3,)], [(1.0, 2)], [{1, 2}], []):
+        assert resample._same_size_rows(other) is None
 
 
 class TestScreenMarginal:
