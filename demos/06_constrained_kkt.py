@@ -5,8 +5,10 @@ Equality-constrained estimation with an expansion certificate
 Minimize a Poisson objective subject to sum(beta) = 0. The KKT system is
 solved by Newton on the stacked residual; the certificate at a feasible
 target bounds how far the one-step correction can sit from the true
-constrained solution. The required Hoelder constant for the Hessian
-variation is derived from the loss family's curvature bound.
+constrained solution. The required Hoelder constant L for the Hessian
+variation is derived from the loss family's curvature bound; the
+certificate works in the null space of the constraints, where it becomes
+the reduced constant L_red >= L.
 """
 
 import numpy as np
@@ -43,7 +45,8 @@ print(f"\nderived Hoelder constant: L = {holder_l:.4f} (alpha = {alpha})")
 
 cert = certify_constrained(grad, hess, A, b, beta0,
                            holder_l=holder_l, alpha=alpha)
-print("condition delta <= (3L)^(-1/alpha):", cert.condition_ok)
+print(f"reduced constant: L_red = {cert.holder_l:.4f}")
+print("condition delta <= (3 L_red)^(-1/alpha):", cert.condition_ok)
 predicted = beta0 + cert.step
 print("one-step prediction:", np.round(predicted, 6),
       f"(sum = {predicted.sum():.2e}, still feasible)")

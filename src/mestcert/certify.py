@@ -152,18 +152,6 @@ def contraction_certificate(f, jac, a_matrix, theta0, radius, variation_bound):
     )
 
 
-def _holder_arguments(holder_l, alpha):
-    """``(holder_l, alpha)`` as floats, checked: ``L >= 0`` and ``alpha`` in
-    ``(0, 1]``."""
-    holder_l = float(holder_l)
-    alpha = float(alpha)
-    if holder_l < 0.0:
-        raise InvalidInputError(f"Hoelder constant must be >= 0, got {holder_l}")
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidInputError(f"Hoelder exponent must lie in (0, 1], got {alpha}")
-    return holder_l, alpha
-
-
 def newton_step_certificate(f, jac, theta0, holder_l, alpha):
     """Certify a one-Newton-step expansion around ``theta0``.
 
@@ -185,7 +173,11 @@ def newton_step_certificate(f, jac, theta0, holder_l, alpha):
     ExpansionCertificate
     """
     theta0 = as_vector(theta0, "theta0").copy()  # the certificate owns it
-    holder_l, alpha = _holder_arguments(holder_l, alpha)
+    holder_l, alpha = float(holder_l), float(alpha)
+    if holder_l < 0.0:
+        raise InvalidInputError(f"Hoelder constant must be >= 0, got {holder_l}")
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidInputError(f"Hoelder exponent must lie in (0, 1], got {alpha}")
 
     j0 = as_matrix(np.asarray(jac(theta0), dtype=float), "jac(theta0)")
     step = -solve_linear(j0, np.asarray(f(theta0), dtype=float))

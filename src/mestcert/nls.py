@@ -130,58 +130,43 @@ class NlsCertificate:
     remainder_bound: float
 
 
+def _link_terms(data, link, theta, order=2):
+    """``(y - g(u), g'(u), g''(u))`` at ``u = X theta``, up to the given
+    order: the one link evaluation that the gradient (order 1), Hessian
+    and curvature constants at ``theta`` share."""
+    u = data.X @ theta
+    derivatives = (link.g1, link.g2)[:order]
+    return (data.y - np.asarray(link.g(u), dtype=float),
+            *(np.asarray(d(u), dtype=float) for d in derivatives))
+
+
 def nls_grad(data, link, theta):
     """Gradient ``-(2/n) sum_i (y_i - g(u_i)) g'(u_i) X_i``."""
     theta = as_parameter(theta, data.n_features)
-    u = data.X @ theta
-    r = data.y - np.asarray(link.g(u), dtype=float)
-    gp = np.asarray(link.g1(u), dtype=float)
+    return _nls_grad(data, _link_terms(data, link, theta, order=1))
+
+
+def _nls_grad(data, terms):
+    r, gp = terms[:2]
     return -(2.0 / data.n_obs) * (data.X.T @ (r * gp))
 
 
-def _nls_hess(data, link, theta):
+def _nls_hess(data, terms):
     """Hessian ``(2/n) sum_i [g'(u_i)^2 - (y_i - g(u_i)) g''(u_i)] X_i X_i^T``."""
-    theta = as_parameter(theta, data.n_features)
-    u = data.X @ theta
-    r = data.y - np.asarray(link.g(u), dtype=float)
-    gp = np.asarray(link.g1(u), dtype=float)
-    gpp = np.asarray(link.g2(u), dtype=float)
+    r, gp, gpp = terms
     c = gp * gp - r * gpp
     return (2.0 / data.n_obs) * (data.X.T @ (data.X * c[:, None]))
 
 
 def nls_constants(data, link, theta0):
-    """The four curvature constants of the variation modulus at ``theta0``.
+    """The four curvature constants of the variation modulus at ``theta0``,
+    as :func:`certify_nls` reports them.
 
     Each is the operator norm of ``H^-1 M_j`` with ``M_j = (2/n) sum_i
     coef_i X_i X_i^T`` and coefficients built from the link's smoothness
     certificates; requires the Hessian at the target to be invertible.
     """
-    theta0 = as_parameter(theta0, data.n_features)
-    return _nls_constants(data, link, theta0,
-                          lu_factorization(_nls_hess(data, link, theta0)))
-
-
-def _nls_constants(data, link, theta0, hsolve):
-    """:func:`nls_constants` given the factored Hessian at the target."""
-    u = data.X @ theta0
-    r = data.y - np.asarray(link.g(u), dtype=float)
-    gp_abs = np.abs(np.asarray(link.g1(u), dtype=float))
-    gpp_abs = np.abs(np.asarray(link.g2(u), dtype=float))
-    c0, c1, c2 = (row_weights(c, data.X) for c in (link.c0, link.c1, link.c2))
-
-    def norm_of(coefs):
-        if not np.any(coefs):
-            return 0.0
-        m = (2.0 / data.n_obs) * (data.X.T @ (data.X * coefs[:, None]))
-        return op_norm(hsolve(m))
-
-    return NlsConstants(
-        l2=norm_of(c1 * c1),
-        l_1_plus_alpha=norm_of(c0 * c2),
-        l1=norm_of(2.0 * c1 * gp_abs + c0 * gpp_abs),
-        l_alpha=norm_of(c2 * np.abs(r)),
-    )
+    return certify_nls(data, link, theta0).l_constants
 
 
 def _variation_modulus(constants, alpha, r):
@@ -202,12 +187,25 @@ def certify_nls(data, link, theta0):
     unconditionally); the remainder bound is ``omega(delta) * delta``.
     """
     theta0 = as_parameter(theta0, data.n_features)
-    grad = nls_grad(data, link, theta0)
-    hsolve = lu_factorization(_nls_hess(data, link, theta0))
-    step = -hsolve(grad)
+    r, gp, gpp = terms = _link_terms(data, link, theta0)
+    hsolve = lu_factorization(_nls_hess(data, terms))
+    step = -hsolve(_nls_grad(data, terms))
     dlt = 1.5 * float(np.linalg.norm(step))
 
-    consts = _nls_constants(data, link, theta0, hsolve)
+    c0, c1, c2 = (row_weights(c, data.X) for c in (link.c0, link.c1, link.c2))
+
+    def norm_of(coefs):
+        if not np.any(coefs):
+            return 0.0
+        m = (2.0 / data.n_obs) * (data.X.T @ (data.X * coefs[:, None]))
+        return op_norm(hsolve(m))
+
+    consts = NlsConstants(
+        l2=norm_of(c1 * c1),
+        l_1_plus_alpha=norm_of(c0 * c2),
+        l1=norm_of(2.0 * c1 * np.abs(gp) + c0 * np.abs(gpp)),
+        l_alpha=norm_of(c2 * np.abs(r)),
+    )
     alpha = float(link.alpha)
     exponents = (2.0, 1.0 + alpha, 1.0, alpha)
     ok = True
@@ -236,5 +234,6 @@ def fit_nls(data, link, init, tol=1e-10, max_iter=200):
     theta = as_parameter(init, data.n_features)
     return damped_newton(
         theta, lambda t: (nls_grad(data, link, t), None),
-        lambda t, grad: -solve_linear(_nls_hess(data, link, t), grad),
+        lambda t, grad: -solve_linear(
+            _nls_hess(data, _link_terms(data, link, t)), grad),
         tol, max_iter)[0]

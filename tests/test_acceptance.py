@@ -390,7 +390,7 @@ def test_criterion_8_derivative_oracles():
         check(mc.nls_grad(ndata, link, theta),
               fd_jacobian(lambda t: nls_objective(ndata, link, t),
                           theta, 1e-6)[0], 1.0)
-        check(mc.nls._nls_hess(ndata, link, theta),
+        check(mc.nls._nls_hess(ndata, mc.nls._link_terms(ndata, link, theta)),
               fd_jacobian(lambda t: mc.nls_grad(ndata, link, t),
                           theta, 1e-6), 1.0)
     report(8, "analytic gradients/Hessians in glm+cox+nls match central "

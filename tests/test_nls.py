@@ -7,8 +7,8 @@ from mestcert import (ConvergenceError, Dataset, InvalidInputError, LinkSpec,
                       certify_nls, fit_nls, identity_link, logistic_link,
                       make_family, nls_constants, nls_grad, op_norm)
 from mestcert import certify as glm_certify
-from mestcert.nls import (SIGMOID_D2_SUP, SIGMOID_D3_SUP, _nls_hess,
-                          _variation_modulus)
+from mestcert.nls import (SIGMOID_D2_SUP, SIGMOID_D3_SUP, _link_terms,
+                          _nls_hess, _variation_modulus)
 from mestcert.numkit import lu_factorization, solve_linear
 
 LINK = logistic_link()
@@ -34,8 +34,9 @@ class TestGradHess:
         expected = -(2.0 / 30) * data.X.T @ (data.y - data.X @ theta)
         np.testing.assert_allclose(nls_grad(data, link, theta), expected,
                                    atol=1e-14)
-        np.testing.assert_allclose(_nls_hess(data, link, theta),
-                                   (2.0 / 30) * data.X.T @ data.X, atol=1e-14)
+        np.testing.assert_allclose(
+            _nls_hess(data, _link_terms(data, link, theta)),
+            (2.0 / 30) * data.X.T @ data.X, atol=1e-14)
 
     def test_logistic_link_hand_value(self):
         data = Dataset(X=[[1.0]], y=[1.0])
@@ -60,7 +61,7 @@ class TestGradHess:
             g_fd = fd_jacobian(lambda t: nls_objective(data, LINK, t),
                                theta, 1e-6)[0]
             assert np.linalg.norm(g - g_fd) <= 1e-5 * (1 + np.linalg.norm(g))
-            h = _nls_hess(data, LINK, theta)
+            h = _nls_hess(data, _link_terms(data, LINK, theta))
             h_fd = fd_jacobian(lambda t: nls_grad(data, LINK, t), theta, 1e-6)
             assert np.linalg.norm(h - h_fd) <= 1e-5 * (1 + np.linalg.norm(h))
 
@@ -127,13 +128,14 @@ class TestConstants:
         data = gen_nls_instance(40, 2, seed=408)
         theta0 = fit_nls(data, LINK, np.zeros(2), tol=1e-12)
         consts = nls_constants(data, LINK, theta0)
-        h0 = _nls_hess(data, LINK, theta0)
+        h0 = _nls_hess(data, _link_terms(data, LINK, theta0))
         rng = np.random.default_rng(409)
         for _ in range(30):
             direction = rng.normal(size=2)
             direction /= np.linalg.norm(direction)
             r = rng.uniform(0.0, 0.3)
-            h = _nls_hess(data, LINK, theta0 + r * direction)
+            h = _nls_hess(data, _link_terms(data, LINK,
+                                                theta0 + r * direction))
             sampled = op_norm(np.linalg.solve(h0, h - h0))
             assert sampled <= _variation_modulus(consts, LINK.alpha, r) \
                 * (1 + 1e-9) + 1e-14
@@ -154,7 +156,8 @@ class TestConstants:
         r = np.abs(data.y - LINK.g(u))
         c0, c1, c2 = (np.array([float(c(row)) for row in data.X])
                       for c in (link.c0, link.c1, link.c2))
-        hsolve = lu_factorization(_nls_hess(data, link, theta0))
+        hsolve = lu_factorization(
+            _nls_hess(data, _link_terms(data, link, theta0)))
 
         def norm_of(coefs):
             return op_norm(hsolve((2.0 / 40) * (data.X.T @ (
@@ -191,7 +194,7 @@ class TestCertify:
         # same bits as solving and factoring separately
         data = gen_nls_instance(50, 3, seed=415)
         theta0 = np.array([0.2, -0.1, 0.4])
-        step = -solve_linear(_nls_hess(data, LINK, theta0),
+        step = -solve_linear(_nls_hess(data, _link_terms(data, LINK, theta0)),
                              nls_grad(data, LINK, theta0))
         consts = nls_constants(data, LINK, theta0)
         del factor_calls[:]

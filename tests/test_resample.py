@@ -313,6 +313,24 @@ class TestBulkEntries:
             assert resample._top_rows(norms, c).tolist() == \
                 np.argsort(-norms, kind="stable")[:c].tolist()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_retained_row_is_the_largest_retained_norm(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        levels = rng.choice([1, 2, 3, n], p=[0.3, 0.3, 0.2, 0.2])
+        norms = rng.integers(0, levels, size=n) * 0.5  # heavy ties
+        for k in range(1, n):
+            top = resample._top_rows(norms, k + 1)
+            rows = np.sort(np.array([rng.choice(n, size=k, replace=False)
+                                     for _ in range(6)]), axis=1)
+            chosen = resample._first_retained(rows, top, n)
+            broadcast = top[np.argmin((rows[:, :, None] == top).any(axis=1),
+                                      axis=1)]
+            np.testing.assert_array_equal(chosen, broadcast)
+            for row, pick in zip(rows, chosen):
+                kept = np.setdiff1d(np.arange(n), row)
+                assert pick == kept[np.argmax(norms[kept])]
+
 
 def test_one_row_sweep_reports_a_collapsed_fold():
     data = Dataset(X=[[2.0]], y=[1.0])
